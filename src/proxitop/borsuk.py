@@ -5,9 +5,6 @@ Desk-scale verification engines for antipodality statements:
 * but_search pairs antipodal objects (grid samples, strings, or worldsheets)
   whose descriptor values match within a tolerance, by exhaustive pair
   enumeration.
-* corner_region_descriptor is the 4-adjacency neighbor count on a w x h
-  grid, the descriptor that separates corner regions (2) from edge (3) and
-  interior (4) regions.
 * fixed_point_search locates a fixed point of a self-map of the unit ball
   by iterative grid refinement.
 * wired_friend_pipeline compresses a string into a 4-feature silhouette and
@@ -47,7 +44,6 @@ __all__ = [
     "feature_descriptor",
     "shape_descriptor",
     "but_search",
-    "corner_region_descriptor",
     "fixed_point_search",
     "string_shape_features",
     "wired_friend_pipeline",
@@ -117,14 +113,14 @@ def feature_descriptor(
             pts = np.atleast_2d(_object_points(obj))
             if pts.shape[0] == 1:
                 return features(pts[0])
-            return np.mean([features(p) for p in pts], axis=0)
+            return np.mean(features.rows(pts), axis=0)
 
         return RegionDescriptor(features.arity, red, tol, f"mean-{features.name}")
     if reduce == "minmax":
 
         def red(obj):
             pts = np.atleast_2d(_object_points(obj))
-            rows = np.array([features(p) for p in pts])
+            rows = features.rows(pts)
             return np.concatenate([rows.min(axis=0), rows.max(axis=0)])
 
         return RegionDescriptor(2 * features.arity, red, tol, f"minmax-{features.name}")
@@ -228,21 +224,6 @@ def but_search(
         if dist <= limit:
             pairs.append(ButPair(int(i), int(j), tuple(float(v) for v in values[i]), dist))
     return ButResult(mode, len(objects), tuple(pairs))
-
-
-def corner_region_descriptor(width: int, height: int, cell) -> float:
-    """4-adjacency neighbor count of a cell on a width x height grid.
-
-    Corners score 2, edge cells 3, interior cells 4 (on grids with both
-    sides at least 2). Out-of-range cells are an error.
-    """
-    w, h = int(width), int(height)
-    if w < 1 or h < 1:
-        raise ValueError("grid dimensions must be positive")
-    i, j = int(round(cell[0])), int(round(cell[1]))
-    if not (0 <= i < w and 0 <= j < h):
-        raise ValueError(f"cell ({i}, {j}) outside {w}x{h} grid")
-    return float((i > 0) + (i < w - 1) + (j > 0) + (j < h - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ when two of these objects are antipodal:
 * vertex-set symmetric difference for strings,
 * disjoint member strings for worldsheets.
 
+It also holds the 4-adjacency neighbor count of a grid cell, the descriptor
+that separates corner cells (2) from edge (3) and interior (4) cells.
+
 Everything here is exact desk-scale geometry on numpy arrays. Point identity
 uses POINT_TOL (1e-9); unit-vector and antipode checks use UNIT_TOL (1e-12).
 Returned point lists are in canonical lexicographic order.
@@ -35,6 +38,7 @@ __all__ = [
     "as_point",
     "as_points",
     "lexsorted",
+    "corner_region_descriptor",
     "antipodal_point_witness",
     "petty_antipodal_set",
     "strings_antipodal",
@@ -76,6 +80,21 @@ def lexsorted(pts: np.ndarray) -> np.ndarray:
         return a.copy()
     order = np.lexsort(a.T[::-1])
     return a[order]
+
+
+def corner_region_descriptor(width: int, height: int, cell) -> float:
+    """4-adjacency neighbor count of a cell on a width x height grid.
+
+    Corners score 2, edge cells 3, interior cells 4 (on grids with both
+    sides at least 2). Out-of-range cells are an error.
+    """
+    w, h = int(width), int(height)
+    if w < 1 or h < 1:
+        raise ValueError("grid dimensions must be positive")
+    i, j = int(round(cell[0])), int(round(cell[1]))
+    if not (0 <= i < w and 0 <= j < h):
+        raise ValueError(f"cell ({i}, {j}) outside {w}x{h} grid")
+    return float((i > 0) + (i < w - 1) + (j > 0) + (j < h - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,19 @@ When a `universe` region is supplied, either argument whose point set equals
 the whole universe is near everything nonempty; plain two-argument calls do
 not apply that clause.
 
+One kernel decides all three relations. It numbers a list of points, writes
+subsets as int bit masks, and keeps two tables of bit rows: which points are
+the same point (within POINT_TOL) and which descriptions match (within tau).
+The public relations build it over the points of A followed by those of B;
+check_axioms builds it once over a space's universe, whose points must be
+distinct, and evaluates every draw on it.
+
 check_axioms stress-tests the relations: it samples labeled subregions of a
 space with a seeded generator and asserts every axiom of the requested
 family, reporting violations with witnesses. Universal-premise axioms that
 need exhaustive quantification (the descriptive transitivity and
 point-equality axioms) are additionally verified over every subset pair or
-triple when the universe has at most EXHAUSTIVE_LIMIT points. The harness
-runs on an internal bitmask representation for speed; a unit test pins the
-bitmask relations to the public ones.
+triple when the universe has at most EXHAUSTIVE_LIMIT points.
 """
 
 from __future__ import annotations
@@ -35,7 +40,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .geometry import POINT_TOL, Region, as_point, as_points, lexsorted
+from .geometry import (
+    POINT_TOL,
+    Region,
+    as_point,
+    as_points,
+    corner_region_descriptor,
+    lexsorted,
+)
 
 EXHAUSTIVE_LIMIT = 6
 
@@ -99,12 +111,9 @@ class FeatureMap:
             raise ValueError(f"feature map {self.name!r} returned non-finite values")
         return v
 
-
-def _grid_neighbor_count(width: int, height: int, cell) -> float:
-    i, j = int(round(cell[0])), int(round(cell[1]))
-    if not (0 <= i < width and 0 <= j < height):
-        raise ValueError(f"cell ({i}, {j}) outside {width}x{height} grid")
-    return float((i > 0) + (i < width - 1) + (j > 0) + (j < height - 1))
+    def rows(self, points) -> np.ndarray:
+        """Descriptions of the points, one row each: an (m, arity) array."""
+        return np.array([self(p) for p in points]).reshape(len(points), self.arity)
 
 
 def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:
@@ -134,7 +143,7 @@ def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:
         w, h = int(cfg.pop("width")), int(cfg.pop("height"))
         if w < 1 or h < 1:
             raise ValueError("adjacency-count needs positive grid dimensions")
-        fm = FeatureMap(1, lambda p: np.array([_grid_neighbor_count(w, h, p)]), tol, "adjacency-count")
+        fm = FeatureMap(1, lambda p: np.array([corner_region_descriptor(w, h, p)]), tol, "adjacency-count")
     elif name == "constant":
         value = np.atleast_1d(np.asarray(cfg.pop("value"), dtype=float))
         fm = FeatureMap(value.size, lambda p, v=value: v, tol, "constant")
@@ -148,13 +157,25 @@ def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:
 
 @dataclass(frozen=True)
 class DescriptiveSpace:
-    """Finite universe of points with a feature map."""
+    """Finite universe of distinct points with a feature map.
+
+    Two universe points within POINT_TOL of each other are an error: the
+    axiom harness gives every universe row its own bit, and a repeated
+    point would let two different masks name one point set.
+    """
 
     universe: np.ndarray
     features: FeatureMap
 
     def __post_init__(self):
-        object.__setattr__(self, "universe", as_points(self.universe))
+        u = as_points(self.universe)
+        dup = np.argwhere(np.triu(_point_close(u, u), 1))
+        if dup.size:
+            i, j = dup[0]
+            raise ValueError(
+                f"universe rows {i} and {j} are the same point (within {POINT_TOL:g})"
+            )
+        object.__setattr__(self, "universe", u)
 
     @property
     def size(self) -> int:
@@ -166,14 +187,13 @@ class DescriptiveSpace:
 
     @cached_property
     def feature_matrix(self) -> np.ndarray:
-        return np.array([self.features(p) for p in self.universe])
+        return self.features.rows(self.universe)
 
     @cached_property
     def match_matrix(self) -> np.ndarray:
         """Boolean (m, m) matrix of description matches within tolerance."""
         F = self.feature_matrix
-        d = np.max(np.abs(F[:, None, :] - F[None, :, :]), axis=2)
-        return d <= self.features.match_tolerance
+        return _description_close(F, F, self.features.match_tolerance)
 
     def region(self, indices, interior=None) -> Region:
         """Region on universe points; ``interior`` lists the interior indices.
@@ -194,17 +214,142 @@ class DescriptiveSpace:
 
 
 # ---------------------------------------------------------------------------
-# core relations
+# relation kernel
 # ---------------------------------------------------------------------------
 
 
-def _feature_rows(points: np.ndarray, fm: FeatureMap) -> np.ndarray:
-    return np.array([fm(p) for p in points])
+def _point_close(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Boolean (len(P), len(Q)) table: the points are the same within POINT_TOL."""
+    return np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=2) <= POINT_TOL
 
 
-def _matches_image(vec: np.ndarray, image: np.ndarray, tol: float) -> bool:
-    # membership of a description in a raw image, component-wise within tol
-    return bool(np.any(np.max(np.abs(image - vec), axis=1) <= tol))
+def _description_close(F: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
+    """Boolean (len(F), len(G)) table: descriptions match component-wise within tol."""
+    return np.max(np.abs(F[:, None, :] - G[None, :, :]), axis=2) <= tol
+
+
+def _merge(close: np.ndarray) -> tuple:
+    """Greedy first-representative merge over a boolean "close" table.
+
+    Rows are visited in order. A row joins the group of the first
+    representative it is close to, or else becomes the representative of a
+    new group. Returns (representative row indices, group of every row),
+    groups numbered in the order their representatives appear.
+    """
+    reps: list[int] = []
+    group = np.empty(close.shape[0], dtype=int)
+    for i, row in enumerate(close):
+        hit = np.flatnonzero(row[reps])
+        if hit.size:
+            group[i] = hit[0]
+        else:
+            group[i] = len(reps)
+            reps.append(i)
+    return np.array(reps, dtype=int), group
+
+
+def _bits(flags) -> int:
+    """The int whose bit i is set iff flags[i] is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _meets(rows: list, A: int, B: int) -> bool:
+    """Some x in A has a row that meets B (rows must be reflexive)."""
+    if A & B:
+        return True
+    while A:
+        low = A & -A
+        if rows[low.bit_length() - 1] & B:
+            return True
+        A ^= low
+    return False
+
+
+class _MaskEngine:
+    """The one relation kernel: dnear, sn and snd over subsets of a point list.
+
+    Subsets are ints; bit x is point x. Labeled regions are (mask,
+    interior_mask) pairs. same_rows[x] holds the points within POINT_TOL of
+    x and match_rows[x] the points whose descriptions match that of x; both
+    relations are reflexive and symmetric, which the relations below rely
+    on. The empty set is far from everything, and the full mask (the whole
+    space) is near every nonempty region.
+    """
+
+    def __init__(self, points, match: np.ndarray | None = None):
+        # a DescriptiveSpace stands for its universe and match table; a bare
+        # point list may repeat points, and without a match table only sn works
+        if isinstance(points, DescriptiveSpace):
+            points, match = points.universe, points.match_matrix
+        self.points = points
+        self.m = len(points)
+        self.full = (1 << self.m) - 1
+        self.same_rows = [_bits(r) for r in _point_close(points, points)]
+        self.match_rows = None if match is None else [_bits(r) for r in match]
+
+    def dnear(self, A: int, B: int) -> bool:
+        return _meets(self.match_rows, A, B)
+
+    def sn(self, A: int, iA: int, B: int, iB: int) -> bool:
+        return self._strong(self.same_rows, A, iA, B, iB)
+
+    def snd(self, A: int, iA: int, B: int, iB: int) -> bool:
+        return self._strong(self.match_rows, A, iA, B, iB)
+
+    def _strong(self, rows: list, A: int, iA: int, B: int, iB: int) -> bool:
+        # rows is point identity for sn and description matching for snd
+        if A == 0 or B == 0:
+            return False
+        if A == self.full or B == self.full:
+            return True
+        if A & (A - 1) == 0:
+            # {x} against the interior of B, or against B itself when B is
+            # a singleton too
+            return bool(rows[A.bit_length() - 1] & (B if B & (B - 1) == 0 else iB))
+        if B & (B - 1) == 0:
+            return bool(rows[B.bit_length() - 1] & iA)
+        return _meets(rows, iA, iB)
+
+    def match(self, x: int, y: int) -> bool:
+        return bool(self.match_rows[x] & (1 << y))
+
+    def region(self, mask: int, imask: int) -> Region | None:
+        if mask == 0:
+            return None
+        idx = [i for i in range(self.m) if mask & (1 << i)]
+        flags = [bool(imask & (1 << i)) for i in idx]
+        return Region(self.points[idx], np.array(flags, dtype=bool))
+
+
+def _pair(a: Region, b: Region, features: FeatureMap | None = None) -> tuple:
+    """Kernel over the points of A followed by those of B.
+
+    Returns (engine, A, iA, B, iB) with both regions as bit masks.
+    """
+    if a.dimension != b.dimension:
+        raise ValueError("regions must share a dimension")
+    pts = np.concatenate([a.points, b.points])
+    match = None
+    if features is not None:
+        F = features.rows(pts)
+        match = _description_close(F, F, features.match_tolerance)
+    eng = _MaskEngine(pts, match)
+    A = (1 << a.size) - 1
+    interior = _bits(np.concatenate([a.interior, b.interior]))
+    return eng, A, interior & A, eng.full ^ A, interior & ~A
+
+
+def _whole_space(r: Region, universe: Region | None) -> bool:
+    """The universe clause: r and the universe cover each other within POINT_TOL."""
+    if universe is None:
+        return False
+    close = _point_close(r.points, universe.points)
+    return bool(close.any(axis=1).all() and close.any(axis=0).all())
+
+
+# ---------------------------------------------------------------------------
+# core relations
+# ---------------------------------------------------------------------------
 
 
 def describe_region(region: Region, features: FeatureMap) -> np.ndarray:
@@ -213,23 +358,9 @@ def describe_region(region: Region, features: FeatureMap) -> np.ndarray:
     Duplicates within the match tolerance are removed (greedy, in canonical
     lexicographic order) so the result is a set, deterministically ordered.
     """
-    rows = lexsorted(_feature_rows(region.points, features))
-    tol = features.match_tolerance
-    kept: list[np.ndarray] = []
-    for r in rows:
-        if not kept or not _matches_image(r, np.array(kept), tol):
-            kept.append(r)
-    return np.array(kept)
-
-
-def _dedupe_points(points: np.ndarray) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for p in points:
-        if not out or not np.any(
-            np.linalg.norm(np.array(out) - p, axis=1) <= POINT_TOL
-        ):
-            out.append(p)
-    return np.array(out)
+    rows = lexsorted(features.rows(region.points))
+    keep, _ = _merge(_description_close(rows, rows, features.match_tolerance))
+    return rows[keep]
 
 
 def descriptive_intersection(a: Region, b: Region, features: FeatureMap) -> np.ndarray:
@@ -239,39 +370,22 @@ def descriptive_intersection(a: Region, b: Region, features: FeatureMap) -> np.n
     dedup), component-wise within the match tolerance. The result is in
     canonical lexicographic order; tau = 0 gives the exact textbook set.
     """
-    if a.dimension != b.dimension:
-        raise ValueError("regions must share a dimension")
-    fa = _feature_rows(a.points, features)
-    fb = _feature_rows(b.points, features)
-    union = _dedupe_points(np.concatenate([a.points, b.points]))
-    tol = features.match_tolerance
-    hits = []
-    for p in union:
-        v = features(p)
-        if _matches_image(v, fa, tol) and _matches_image(v, fb, tol):
-            hits.append(p)
+    eng, A, _, B, _ = _pair(a, b, features)
+    hits = [x for x in range(eng.m) if eng.match_rows[x] & A and eng.match_rows[x] & B]
     if not hits:
         return np.empty((0, a.dimension))
-    return lexsorted(np.array(hits))
+    pts = eng.points[hits]
+    keep, _ = _merge(_point_close(pts, pts))
+    return lexsorted(pts[keep])
 
 
 def dnear(a: Region, b: Region, features: FeatureMap) -> bool:
-    """Descriptive nearness: the descriptive intersection is nonempty."""
-    return descriptive_intersection(a, b, features).shape[0] > 0
+    """Descriptive nearness: the descriptive intersection is nonempty.
 
-
-def _point_in_set(p: np.ndarray, pts: np.ndarray) -> bool:
-    if pts.shape[0] == 0:
-        return False
-    return bool(np.any(np.linalg.norm(pts - p, axis=1) <= POINT_TOL))
-
-
-def _same_point_set(a: np.ndarray, b: np.ndarray) -> bool:
-    return all(_point_in_set(p, b) for p in a) and all(_point_in_set(p, a) for p in b)
-
-
-def _is_universe(r: Region, universe: Region | None) -> bool:
-    return universe is not None and _same_point_set(r.points, universe.points)
+    Equivalently, some a in A and b in B have matching descriptions.
+    """
+    eng, A, _, B, _ = _pair(a, b, features)
+    return eng.dnear(A, B)
 
 
 def sn(a: Region, b: Region, universe: Region | None = None) -> bool:
@@ -284,19 +398,10 @@ def sn(a: Region, b: Region, universe: Region | None = None) -> bool:
     strongly near every nonempty region; the whole space is open, so this
     outranks the singleton conventions.
     """
-    if _is_universe(a, universe) or _is_universe(b, universe):
+    if _whole_space(a, universe) or _whole_space(b, universe):
         return True
-    if a.size == 1 and b.size == 1:
-        return bool(np.linalg.norm(a.points[0] - b.points[0]) <= POINT_TOL)
-    if a.size == 1:
-        return _point_in_set(a.points[0], b.interior_points())
-    if b.size == 1:
-        return _point_in_set(b.points[0], a.interior_points())
-    ia, ib = a.interior_points(), b.interior_points()
-    if ia.shape[0] and ib.shape[0]:
-        if any(_point_in_set(p, ib) for p in ia):
-            return True
-    return False
+    eng, A, iA, B, iB = _pair(a, b)
+    return eng.sn(A, iA, B, iB)
 
 
 def snd(
@@ -313,25 +418,20 @@ def snd(
     iff their descriptions match. The optional universe clause works as in
     sn.
     """
-    tol = features.match_tolerance
-    if _is_universe(a, universe) or _is_universe(b, universe):
+    if _whole_space(a, universe) or _whole_space(b, universe):
         return True
-    if a.size == 1 and b.size == 1:
-        return bool(
-            np.max(np.abs(features(a.points[0]) - features(b.points[0]))) <= tol
-        )
-    if a.size == 1 or b.size == 1:
-        x, other = (a.points[0], b) if a.size == 1 else (b.points[0], a)
-        ip = other.interior_points()
-        if ip.shape[0] == 0:
-            return False
-        return _matches_image(features(x), _feature_rows(ip, features), tol)
-    ia, ib = a.interior_points(), b.interior_points()
-    if ia.shape[0] and ib.shape[0]:
-        ra, rb = Region.from_points(ia), Region.from_points(ib)
-        if descriptive_intersection(ra, rb, features).shape[0] > 0:
-            return True
-    return False
+    eng, A, iA, B, iB = _pair(a, b, features)
+    return eng.snd(A, iA, B, iB)
+
+
+def _merged_region(points: np.ndarray, flags: np.ndarray, combine) -> Region:
+    """Points merged within POINT_TOL, each group's interior flags folded by combine."""
+    keep, group = _merge(_point_close(points, points))
+    interior = np.full(keep.size, combine.identity, dtype=bool)
+    combine.at(interior, group, flags)
+    pts = points[keep]
+    order = np.lexsort(pts.T[::-1])
+    return Region(pts[order], interior[order])
 
 
 def region_union(a: Region, b: Region) -> Region:
@@ -340,21 +440,7 @@ def region_union(a: Region, b: Region) -> Region:
         raise ValueError("regions must share a dimension")
     pts = np.concatenate([a.points, b.points])
     flags = np.concatenate([a.interior, b.interior])
-    out_pts: list[np.ndarray] = []
-    out_int: list[bool] = []
-    for p, f in zip(pts, flags):
-        placed = False
-        for k, q in enumerate(out_pts):
-            if np.linalg.norm(q - p) <= POINT_TOL:
-                out_int[k] = out_int[k] or bool(f)
-                placed = True
-                break
-        if not placed:
-            out_pts.append(p)
-            out_int.append(bool(f))
-    arr = np.array(out_pts)
-    order = np.lexsort(arr.T[::-1])
-    return Region(arr[order], np.array(out_int, dtype=bool)[order])
+    return _merged_region(pts, flags, np.logical_or)
 
 
 def map_region(f: Callable[[np.ndarray], np.ndarray], region: Region) -> Region:
@@ -364,22 +450,8 @@ def map_region(f: Callable[[np.ndarray], np.ndarray], region: Region) -> Region:
     only if every preimage in the region is interior (conservative rule, so
     a map can genuinely destroy interior overlap).
     """
-    images = [as_point(f(p)) for p in region.points]
-    out_pts: list[np.ndarray] = []
-    out_int: list[bool] = []
-    for q, flag in zip(images, region.interior):
-        placed = False
-        for k, r in enumerate(out_pts):
-            if np.linalg.norm(r - q) <= POINT_TOL:
-                out_int[k] = out_int[k] and bool(flag)
-                placed = True
-                break
-        if not placed:
-            out_pts.append(q)
-            out_int.append(bool(flag))
-    arr = np.array(out_pts)
-    order = np.lexsort(arr.T[::-1])
-    return Region(arr[order], np.array(out_int, dtype=bool)[order])
+    images = np.array([as_point(f(p)) for p in region.points])
+    return _merged_region(images, region.interior, np.logical_and)
 
 
 # ---------------------------------------------------------------------------
@@ -409,84 +481,6 @@ class AxiomReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-class _MaskEngine:
-    """Bitmask evaluation of the relations over one space's subsets.
-
-    Subsets of the universe are ints; bit x is point x. Labeled regions are
-    (mask, interior_mask) pairs. Relations here mirror dnear/sn/snd exactly
-    (a dedicated test pins the agreement); the empty set is representable
-    and is far from everything.
-    """
-
-    def __init__(self, space: DescriptiveSpace):
-        self.space = space
-        self.m = space.size
-        self.full = (1 << self.m) - 1
-        mm = space.match_matrix
-        self.match_rows = [
-            int(sum(1 << j for j in range(self.m) if mm[i, j])) for i in range(self.m)
-        ]
-
-    def dnear(self, A: int, B: int) -> bool:
-        if A == 0 or B == 0:
-            return False
-        u = A | B
-        rows = self.match_rows
-        while u:
-            x = (u & -u).bit_length() - 1
-            r = rows[x]
-            if (r & A) and (r & B):
-                return True
-            u &= u - 1
-        return False
-
-    def dinter_nonempty(self, A: int, B: int) -> bool:
-        return self.dnear(A, B)
-
-    def sn(self, A: int, iA: int, B: int, iB: int) -> bool:
-        if A == 0 or B == 0:
-            return False
-        if A == self.full or B == self.full:
-            return True
-        if A & (A - 1) == 0 and B & (B - 1) == 0:
-            return A == B
-        if A & (A - 1) == 0:
-            return bool(A & iB)
-        if B & (B - 1) == 0:
-            return bool(B & iA)
-        return bool(iA & iB)
-
-    def snd(self, A: int, iA: int, B: int, iB: int) -> bool:
-        if A == 0 or B == 0:
-            return False
-        if A == self.full or B == self.full:
-            return True
-        rows = self.match_rows
-        if A & (A - 1) == 0 and B & (B - 1) == 0:
-            x = A.bit_length() - 1
-            return bool(rows[x] & B)
-        if A & (A - 1) == 0:
-            x = A.bit_length() - 1
-            return bool(rows[x] & iB)
-        if B & (B - 1) == 0:
-            y = B.bit_length() - 1
-            return bool(rows[y] & iA)
-        return self.dnear(iA, iB)
-
-    def match(self, x: int, y: int) -> bool:
-        return bool(self.match_rows[x] & (1 << y))
-
-    def region(self, mask: int, imask: int = None) -> Region | None:
-        if mask == 0:
-            return None
-        idx = [i for i in range(self.m) if mask & (1 << i)]
-        if imask is None:
-            flags = [True] * len(idx)
-        else:
-            flags = [bool(imask & (1 << i)) for i in idx]
-        return Region(self.space.universe[idx], np.array(flags, dtype=bool))
 
 
 def _witness(engine: _MaskEngine, **masks) -> dict:
@@ -575,7 +569,7 @@ def check_axioms(
                 flag("dP0", t, a=(A, 0))
             if near(A, B) != near(B, A):
                 flag("dP1", t, a=(A, A), b=(B, B))
-            if eng.dinter_nonempty(A, B) and not near(A, B):
+            if eng.dnear(A, B) and not near(A, B):
                 flag("dP2", t, a=(A, A), b=(B, B))
             if near(A, B | C) != (near(A, B) or near(A, C)):
                 flag("dP3", t, a=(A, A), b=(B, B), c=(C, C))
@@ -601,7 +595,6 @@ def check_axioms(
 def _exhaustive_descriptive(eng: _MaskEngine, near, bad: list):
     m, S = eng.m, 1 << eng.m
     dn = [[near(A, B) for B in range(S)] for A in range(S)]
-    rows = eng.match_rows
     # dP3 over all triples
     for A in range(S):
         dnA = dn[A]
@@ -631,7 +624,7 @@ def _exhaustive_descriptive(eng: _MaskEngine, near, bad: list):
     # dP5 over all point pairs
     for x in range(m):
         for y in range(m):
-            if dn[1 << x][1 << y] and not (rows[x] & (1 << y)):
+            if dn[1 << x][1 << y] and not eng.match(x, y):
                 bad.append(
                     dict(axiom="dP5", trial=None, phase="exhaustive", x=x, y=y)
                 )

@@ -83,6 +83,19 @@ class TwistSpec:
     outer: float = 5.0
 
 
+def _sheet_coords(u, t, width: float, height: float) -> tuple:
+    """Sheet coordinates as float arrays, checked against [0, width] x [0, height]."""
+    if not (width > 0 and height > 0):
+        raise ValueError("sheet width and height must be positive")
+    u = np.asarray(u, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.any(u < -1e-12) or np.any(u > width + 1e-12):
+        raise ValueError("sheet coordinate u outside [0, width]")
+    if np.any(t < -1e-12) or np.any(t > height + 1e-12):
+        raise ValueError("sheet coordinate t outside [0, height]")
+    return u, t
+
+
 def roll_worldsheet(u, t, width: float, height: float) -> np.ndarray:
     """Map sheet coordinates (u, t) onto the cylinder rolled from the sheet.
 
@@ -90,13 +103,8 @@ def roll_worldsheet(u, t, width: float, height: float) -> np.ndarray:
     width/(2*pi); the height coordinate is kept. Coordinates outside
     [0, width] x [0, height] are an error. Broadcasts; returns (..., 3).
     """
+    u, t = _sheet_coords(u, t, width, height)
     params = CylinderParams.from_sheet(width, height)
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(u < -1e-12) or np.any(u > width + 1e-12):
-        raise ValueError("sheet coordinate u outside [0, width]")
-    if np.any(t < -1e-12) or np.any(t > height + 1e-12):
-        raise ValueError("sheet coordinate t outside [0, height]")
     theta = 2.0 * np.pi * u / width
     r = params.radius
     return np.stack(
@@ -126,14 +134,7 @@ def sheet_to_torus(params: TorusParams, u, t, width: float, height: float) -> np
     the height coordinate into the ring angle, so (u, t) lands at
     bend_to_torus(2*pi*t/height, 2*pi*u/width).
     """
-    if not (width > 0 and height > 0):
-        raise ValueError("sheet width and height must be positive")
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(u < -1e-12) or np.any(u > width + 1e-12):
-        raise ValueError("sheet coordinate u outside [0, width]")
-    if np.any(t < -1e-12) or np.any(t > height + 1e-12):
-        raise ValueError("sheet coordinate t outside [0, height]")
+    u, t = _sheet_coords(u, t, width, height)
     return bend_to_torus(params, 2.0 * np.pi * t / height, 2.0 * np.pi * u / width)
 
 
@@ -193,6 +194,20 @@ def eeg_twist_lift(trace, spec: TwistSpec = TwistSpec()) -> StringPath:
     return StringPath(lifted)
 
 
+def _quad_faces(rows: int, cols: int, wrap_rows: bool) -> np.ndarray:
+    """Quads of a rows x cols vertex grid stored row-major, 0-based.
+
+    Columns always wrap (the last column joins the first); rows wrap only
+    when wrap_rows is set. Face (i, j) is [(i, j), (i+1, j), (i+1, j+1),
+    (i, j+1)], faces in row-major (i, j) order.
+    """
+    i = np.arange(rows if wrap_rows else rows - 1)[:, None]
+    j = np.arange(cols)[None, :]
+    i2, j2 = (i + 1) % rows, (j + 1) % cols
+    quads = np.broadcast_arrays(i * cols + j, i2 * cols + j, i2 * cols + j2, i * cols + j2)
+    return np.stack(quads, axis=-1).reshape(-1, 4)
+
+
 def torus_grid(params: TorusParams, nu: int, nv: int) -> tuple:
     """Quad mesh of the full torus on an nu x nv angle grid.
 
@@ -206,13 +221,7 @@ def torus_grid(params: TorusParams, nu: int, nv: int) -> tuple:
     v = 2.0 * np.pi * np.arange(nv) / nv
     uu, vv = np.meshgrid(u, v, indexing="ij")
     verts = bend_to_torus(params, uu, vv).reshape(-1, 3)
-    faces = []
-    for i in range(nu):
-        i2 = (i + 1) % nu
-        for j in range(nv):
-            j2 = (j + 1) % nv
-            faces.append([i * nv + j, i2 * nv + j, i2 * nv + j2, i * nv + j2])
-    return verts, np.array(faces, dtype=int)
+    return verts, _quad_faces(nu, nv, wrap_rows=True)
 
 
 def trace_to_torus_band(params: TorusParams, trace, tube_strings: int = 16) -> tuple:
@@ -240,10 +249,4 @@ def trace_to_torus_band(params: TorusParams, trace, tube_strings: int = 16) -> t
     v0 = np.zeros_like(z) if zspan <= 0 else 2.0 * np.pi * (z - z.min()) / zspan
     offsets = 2.0 * np.pi * np.arange(k) / k
     verts = bend_to_torus(params, u[:, None], v0[:, None] + offsets[None, :]).reshape(-1, 3)
-    m = a.shape[0]
-    faces = []
-    for i in range(m - 1):
-        for j in range(k):
-            j2 = (j + 1) % k
-            faces.append([i * k + j, (i + 1) * k + j, (i + 1) * k + j2, i * k + j2])
-    return verts, np.array(faces, dtype=int)
+    return verts, _quad_faces(a.shape[0], k, wrap_rows=False)

@@ -85,17 +85,31 @@ def test_criterion_1_axiom_suites_clean(verdict):
 def test_criterion_2_nearness_iff_intersection(verdict):
     total = 0
     agree = 0
+    oracle_agree = 0
     seed = 0
     while total < 10_000:
         sp = random_space(seed=500 + seed)
+        tol = sp.features.match_tolerance
         for a, b in sample_region_pairs(sp, 200, seed=seed):
             inter = descriptive_intersection(a, b, sp.features)
-            if dnear(a, b, sp.features) == bool(inter.shape[0]):
+            near = dnear(a, b, sp.features)
+            if near == bool(inter.shape[0]):
                 agree += 1
+            # independent pairwise oracle: some a in A and b in B match
+            fa = np.array([sp.features(p) for p in a.points])
+            fb = np.array([sp.features(p) for p in b.points])
+            gap = np.max(np.abs(fa[:, None, :] - fb[None, :, :]), axis=2)
+            if near == bool(np.any(gap <= tol)):
+                oracle_agree += 1
             total += 1
         seed += 1
-    ok = agree == total
-    verdict(2, ok, f"nearness equivalence: {agree}/{total} sampled pairs agree")
+    ok = agree == total and oracle_agree == total
+    verdict(
+        2,
+        ok,
+        f"nearness equivalence: {agree}/{total} sampled pairs agree, "
+        f"{oracle_agree}/{total} match the pairwise oracle",
+    )
 
 
 def test_criterion_3_circle_strings_antipodal_search(verdict):

@@ -110,6 +110,17 @@ def test_axioms_check_unknown_family(capsys, square_file):
     assert rc == 1 and "unknown family" in err
 
 
+def test_axioms_check_rejects_duplicate_universe_points(capsys, tmp_path):
+    p = tmp_path / "dup.csv"
+    p.write_text("x1,x2\n0,0\n0,0\n1,0\n")
+    rc = run_command(["axioms", "check", "--family", "strong", "--space", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "rows 0 and 1" in lines[0]
+
+
 def test_but_search_strings_mode(capsys):
     doc = run_json(
         capsys,

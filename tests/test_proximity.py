@@ -1,7 +1,11 @@
 """Descriptive nearness relations and region calculus."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxitop import (
     DescriptiveSpace,
@@ -59,6 +63,16 @@ def test_descriptive_intersection_matches_shared_descriptions():
     assert got.shape[0] == 2
     assert not dnear(corner, edge, sp.features)
     assert dnear(corner, other_corner, sp.features)
+
+
+def test_near_duplicate_points_keep_dnear_and_intersection_consistent():
+    # two points 1e-12 apart are one point, but exact coords descriptions
+    # tell them apart; A and B share the point (1e-12, 0) exactly
+    fm = feature_map_from_config({"name": "coords", "dim": 2})
+    a = Region.from_points([[0.0, 0.0], [1e-12, 0.0]])
+    b = Region.from_points([[1e-12, 0.0]])
+    assert dnear(a, b, fm)
+    assert descriptive_intersection(a, b, fm).tolist() == [[1e-12, 0.0]]
 
 
 def test_dnear_iff_nonempty_intersection_sampled():
@@ -189,8 +203,109 @@ def test_lattice_space_rejects_foreign_points():
         sp.features(np.full(sp.dimension, 123.456))
 
 
+def test_space_rejects_duplicate_universe_points():
+    fm = feature_map_from_config({"name": "coords", "dim": 2})
+    with pytest.raises(ValueError, match="rows 0 and 1"):
+        DescriptiveSpace([[0, 0], [0, 0], [1, 0]], fm)
+    with pytest.raises(ValueError, match="rows 1 and 2"):
+        DescriptiveSpace([[0, 0], [1, 0], [1, 1e-12]], fm)
+
+
 def test_random_space_reproducible():
     a = random_space(9)
     b = random_space(9)
     assert np.array_equal(a.universe, b.universe)
     assert a.features.name == b.features.name
+
+
+# ---------------------------------------------------------------------------
+# independent oracles, written from the docstrings on plain tuples
+# ---------------------------------------------------------------------------
+#
+# Points lie on a 0.5 lattice, so coordinates, descriptions and equality are
+# exact. A region is a list of (point, interior) rows and may repeat a point;
+# a singleton is a one-row region. Tolerance 0.6 makes coords matching
+# non-transitive on the lattice: (0, 0) ~ (0.5, 0) ~ (1, 0), but not (0, 0) ~ (1, 0).
+
+PHI = {
+    "coords": lambda p: p,
+    "even-coords": lambda p: tuple(abs(c) for c in p),
+    "norm": lambda p: (math.sqrt(sum(c * c for c in p)),),
+}
+
+
+def _matches(u, v, tol):
+    return max(abs(x - y) for x, y in zip(u, v)) <= tol
+
+
+def _oracle_dnear(A, B, phi, tol):
+    # some a in A and b in B have matching descriptions
+    return any(_matches(phi(a), phi(b), tol) for a, _ in A for b, _ in B)
+
+
+def _oracle_intersection(A, B, phi, tol):
+    # the union points whose description matches both images
+    union = {p for p, _ in A} | {p for p, _ in B}
+    return sorted(
+        x
+        for x in union
+        if any(_matches(phi(x), phi(a), tol) for a, _ in A)
+        and any(_matches(phi(x), phi(b), tol) for b, _ in B)
+    )
+
+
+def _oracle_strong(A, B, universe, same):
+    """sn (same = point equality) or snd (same = description matching)."""
+    if universe is not None and (
+        {p for p, _ in A} == universe or {p for p, _ in B} == universe
+    ):
+        return True
+    inner_a = [p for p, inside in A if inside]
+    inner_b = [p for p, inside in B if inside]
+    if len(A) == 1 and len(B) == 1:
+        return same(A[0][0], B[0][0])
+    if len(A) == 1:
+        return any(same(A[0][0], q) for q in inner_b)
+    if len(B) == 1:
+        return any(same(B[0][0], q) for q in inner_a)
+    # the (descriptive) intersection of the interiors is nonempty
+    return any(
+        any(same(x, a) for a in inner_a) and any(same(x, b) for b in inner_b)
+        for x in set(inner_a) | set(inner_b)
+    )
+
+
+_lattice_point = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+    lambda ij: (ij[0] * 0.5, ij[1] * 0.5)
+)
+_labeled = st.lists(st.tuples(_lattice_point, st.booleans()), min_size=1, max_size=5)
+
+
+def _region(rows):
+    return Region.from_points([p for p, _ in rows], interior=[f for _, f in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    A=_labeled,
+    B=_labeled,
+    name=st.sampled_from(sorted(PHI)),
+    tol=st.sampled_from([0.0, 0.25, 0.6]),
+    which=st.sampled_from(["none", "a", "b", "union", "other"]),
+    other=_labeled,
+)
+def test_relations_match_independent_oracles(A, B, name, tol, which, other):
+    phi = PHI[name]
+    fm = feature_map_from_config({"name": name, "dim": 2, "tolerance": tol})
+    ra, rb = _region(A), _region(B)
+    universe_rows = {"none": None, "a": A[::-1], "b": B, "union": A + B, "other": other}[which]
+    universe = None if universe_rows is None else {p for p, _ in universe_rows}
+    ru = None if universe_rows is None else _region(universe_rows)
+
+    assert dnear(ra, rb, fm) == _oracle_dnear(A, B, phi, tol)
+    got = [tuple(p) for p in descriptive_intersection(ra, rb, fm)]
+    assert got == _oracle_intersection(A, B, phi, tol)
+    assert sn(ra, rb, universe=ru) == _oracle_strong(A, B, universe, lambda p, q: p == q)
+    assert snd(ra, rb, fm, universe=ru) == _oracle_strong(
+        A, B, universe, lambda p, q: _matches(phi(p), phi(q), tol)
+    )
