@@ -72,8 +72,8 @@ class RegionDescriptor:
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("descriptor arity must be at least 1")
-        if self.match_tolerance < 0:
-            raise ValueError("match tolerance must be nonnegative")
+        if not 0 <= self.match_tolerance < np.inf:
+            raise ValueError("match tolerance must be finite and nonnegative")
 
     def __call__(self, obj) -> np.ndarray:
         v = np.atleast_1d(np.asarray(self.reducer(obj), dtype=float))
@@ -201,8 +201,8 @@ def but_search(
         raise ValueError("exactly one of grid, strings, or sheets is required")
     source, mode = sources[0]
     limit = descriptor.match_tolerance if tol is None else float(tol)
-    if limit < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not 0 <= limit < np.inf:
+        raise ValueError("tolerance must be finite and nonnegative")
 
     if mode == "points":
         objects = [source.samples[i] for i in range(source.size)]
@@ -293,8 +293,8 @@ def fixed_point_search(
     n = int(dimension)
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
 

@@ -156,20 +156,6 @@ def _parse_grid_spec(tokens) -> tuple:
     return n, density
 
 
-_ARC_SAMPLES = 4  # consecutive circle samples per string in the strings/sheets modes
-
-
-def _grid_arc_strings(grid: geometry.SphereGrid) -> list:
-    if grid.size % _ARC_SAMPLES:
-        raise ValueError(
-            f"strings mode needs the sample count divisible by {_ARC_SAMPLES}, got {grid.size}"
-        )
-    return [
-        geometry.StringPath(grid.samples[i : i + _ARC_SAMPLES])
-        for i in range(0, grid.size, _ARC_SAMPLES)
-    ]
-
-
 def _cmd_but_search(ns) -> int:
     n, density = _parse_grid_spec(ns.grid)
     if n not in (1, 2):
@@ -183,23 +169,12 @@ def _cmd_but_search(ns) -> int:
     else:
         if n != 1:
             raise ValueError(f"{ns.mode} mode builds circle arcs and needs n=1")
-        arcs = _grid_arc_strings(grid)
+        arcs = geometry.arc_strings(grid)
         desc = borsuk.feature_descriptor(fm, "mean")
         if ns.mode == "strings":
             result = borsuk.but_search(desc, strings=arcs, tol=ns.tol)
         else:
-            if len(arcs) % 2:
-                raise ValueError("sheets mode pairs arcs and needs an even arc count")
-            sheets = []
-            for i in range(0, len(arcs), 2):
-                pair = (arcs[i], arcs[i + 1])
-                pts = np.concatenate([s.vertices for s in pair])
-                sheets.append(
-                    geometry.Worldsheet(
-                        geometry.Region.from_points(pts), pair, cover_tolerance=1e-6
-                    )
-                )
-            result = borsuk.but_search(desc, sheets=sheets, tol=ns.tol)
+            result = borsuk.but_search(desc, sheets=geometry.arc_sheets(arcs), tol=ns.tol)
     doc = ReportDocument(
         command="but search",
         parameters={

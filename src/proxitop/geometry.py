@@ -9,7 +9,11 @@ when two of these objects are antipodal:
 * vertex-set symmetric difference for strings,
 * disjoint member strings for worldsheets.
 
-It also holds the 4-adjacency neighbor count of a grid cell, the descriptor
+Point identity (point_close, same_point_set) is decided here for the whole
+package, and every string distance is one call of a single kernel: the
+clamped closed-form distance between closed segments, over all pairs at once.
+The module also builds circle-arc strings and the worldsheets pairing them,
+and holds the 4-adjacency neighbor count of a grid cell, the descriptor
 that separates corner cells (2) from edge (3) and interior (4) cells.
 
 Everything here is exact desk-scale geometry on numpy arrays. Point identity
@@ -38,12 +42,16 @@ __all__ = [
     "as_point",
     "as_points",
     "lexsorted",
+    "point_close",
+    "same_point_set",
     "corner_region_descriptor",
     "antipodal_point_witness",
     "petty_antipodal_set",
     "strings_antipodal",
     "worldsheets_antipodal",
     "worldsheet_cover_check",
+    "arc_strings",
+    "arc_sheets",
     "sphere_sample",
     "point_segment_distance",
     "point_polyline_distance",
@@ -80,6 +88,17 @@ def lexsorted(pts: np.ndarray) -> np.ndarray:
         return a.copy()
     order = np.lexsort(a.T[::-1])
     return a[order]
+
+
+def point_close(P: np.ndarray, Q: np.ndarray, tol: float = POINT_TOL) -> np.ndarray:
+    """Boolean (len(P), len(Q)) table: P[i] and Q[j] are the same point within tol."""
+    return np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=2) <= tol
+
+
+def same_point_set(P: np.ndarray, Q: np.ndarray, tol: float = POINT_TOL) -> bool:
+    """True iff every point of P is within tol of some point of Q, and vice versa."""
+    close = point_close(P, Q, tol)
+    return bool(close.any(axis=1).all() and close.any(axis=0).all())
 
 
 def corner_region_descriptor(width: int, height: int, cell) -> float:
@@ -364,55 +383,45 @@ def strings_antipodal(a: StringPath, b: StringPath, tol: float = POINT_TOL) -> b
     vertices are antipodal under this rule; only vertex-for-vertex identical
     strings are not.
     """
-    va, vb = a.vertices, b.vertices
-    if va.shape[1] != vb.shape[1]:
+    if a.dimension != b.dimension:
         raise ValueError("strings must share a dimension")
-    d = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
-    return bool(np.any(d.min(axis=1) > tol) or np.any(d.min(axis=0) > tol))
+    return not same_point_set(a.vertices, b.vertices, tol)
+
+
+def _segment_distances(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """(k, l) distances between the closed segments S[i] and T[j].
+
+    S, T are (k, 2, n) and (l, 2, n) endpoints, or (k, 1, n) for points (ends
+    that coincide). Clamped closed form (Lumelsky 1985): s from the normal
+    equations, t for s, then s for t, each clamped to [0, 1]; s = 0 if parallel.
+    """
+    p1, d1 = S[:, None, 0], S[:, None, -1] - S[:, None, 0]
+    p2, d2 = T[None, :, 0], T[None, :, -1] - T[None, :, 0]
+    r = p1 - p2
+    a, b, c = (np.sum(d1 * v, axis=2) for v in (d1, d2, r))
+    e, f = (np.sum(d2 * v, axis=2) for v in (d2, r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = a * e - b * b
+        s = np.where(denom > 1e-300, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        t = np.where(e > 1e-300, np.clip((b * s + f) / e, 0.0, 1.0), 0.0)
+        s = np.where(a > 1e-300, np.clip((b * t - c) / a, 0.0, 1.0), 0.0)
+    return np.linalg.norm(r + s[..., None] * d1 - t[..., None] * d2, axis=2)
 
 
 def point_segment_distance(p, a, b) -> float:
     """Distance from point p to the closed segment [a, b]."""
-    p, a, b = as_point(p), as_point(a), as_point(b)
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(a + t * ab - p))
+    seg = np.stack([as_point(a), as_point(b)])[None]
+    return float(_segment_distances(as_point(p)[None, None], seg)[0, 0])
 
 
 def point_polyline_distance(p, path: StringPath) -> float:
     """Distance from p to the nearest point of the string (segments, not vertices)."""
-    segs = path.segments()
-    return min(point_segment_distance(p, s[0], s[1]) for s in segs)
-
-
-def _segment_pair_distance(p1, q1, p2, q2) -> float:
-    # closed-form closest approach of two segments, robust for the
-    # degenerate parallel case via clamped coordinates
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    b = float(d1 @ d2)
-    c = float(d1 @ r)
-    denom = a * e - b * b
-    s = 0.0 if denom <= 1e-300 else np.clip((b * f - c * e) / denom, 0.0, 1.0)
-    t = 0.0 if e <= 1e-300 else np.clip((b * s + f) / e, 0.0, 1.0)
-    s = 0.0 if a <= 1e-300 else np.clip((b * t - c) / a, 0.0, 1.0)
-    return float(np.linalg.norm((p1 + s * d1) - (p2 + t * d2)))
+    return float(_segment_distances(as_point(p)[None, None], path.segments()).min())
 
 
 def polyline_min_distance(a: StringPath, b: StringPath) -> float:
     """Minimum distance between two strings as geometric polylines."""
-    best = np.inf
-    for s1 in a.segments():
-        for s2 in b.segments():
-            d = _segment_pair_distance(s1[0], s1[1], s2[0], s2[1])
-            if d < best:
-                best = d
-    return float(best)
+    return float(_segment_distances(a.segments(), b.segments()).min())
 
 
 def worldsheets_antipodal(a: Worldsheet, b: Worldsheet, tol: float = POINT_TOL) -> bool:
@@ -422,11 +431,7 @@ def worldsheets_antipodal(a: Worldsheet, b: Worldsheet, tol: float = POINT_TOL) 
     each other (crossing segments have distance zero even without shared
     vertices).
     """
-    for sa in a.strings:
-        for sb in b.strings:
-            if polyline_min_distance(sa, sb) > tol:
-                return True
-    return False
+    return any(polyline_min_distance(sa, sb) > tol for sa in a.strings for sb in b.strings)
 
 
 def worldsheet_cover_check(w: Worldsheet):
@@ -435,14 +440,34 @@ def worldsheet_cover_check(w: Worldsheet):
     Returns (covered, uncovered) where uncovered is a lexicographically
     sorted (k, n) array of the sheet points that fail.
     """
-    bad = []
-    for p in w.sheet.points:
-        d = min(point_polyline_distance(p, s) for s in w.strings)
-        if d > w.cover_tolerance:
-            bad.append(p)
-    if not bad:
+    pts = w.sheet.points
+    segs = np.concatenate([s.segments() for s in w.strings])
+    bad = pts[_segment_distances(pts[:, None], segs).min(axis=1) > w.cover_tolerance]
+    if not bad.size:
         return True, np.empty((0, w.sheet.dimension))
-    return False, lexsorted(np.array(bad))
+    return False, lexsorted(bad)
+
+
+_ARC_SAMPLES = 4  # consecutive circle samples per arc string
+
+
+def arc_strings(grid: SphereGrid) -> list:
+    """Open strings through 4 consecutive grid samples each, in sample order."""
+    if grid.size % _ARC_SAMPLES:
+        raise ValueError(
+            f"strings mode needs the sample count divisible by {_ARC_SAMPLES}, got {grid.size}"
+        )
+    return [StringPath(grid.samples[i : i + _ARC_SAMPLES]) for i in range(0, grid.size, _ARC_SAMPLES)]
+
+
+def arc_sheets(arcs: Sequence[StringPath]) -> list:
+    """Worldsheets of the arc pairs (0, 1), (2, 3), ... over their vertices, cover tolerance 1e-6."""
+    if len(arcs) % 2:
+        raise ValueError("sheets mode pairs arcs and needs an even arc count")
+    return [
+        Worldsheet(Region.from_points(np.concatenate([a.vertices, b.vertices])), (a, b), 1e-6)
+        for a, b in zip(arcs[::2], arcs[1::2])
+    ]
 
 
 # ---------------------------------------------------------------------------

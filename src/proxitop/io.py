@@ -158,7 +158,7 @@ def export_mesh(mesh: MeshDocument, path) -> None:
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """Machine-readable run report with deterministic serialization."""
+    """Machine-readable run report with deterministic, standard-JSON serialization."""
 
     command: str
     parameters: dict
@@ -176,7 +176,7 @@ class ReportDocument:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def file_digest(path) -> str:

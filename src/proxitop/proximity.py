@@ -47,6 +47,8 @@ from .geometry import (
     as_points,
     corner_region_descriptor,
     lexsorted,
+    point_close,
+    same_point_set,
 )
 
 EXHAUSTIVE_LIMIT = 6
@@ -98,8 +100,8 @@ class FeatureMap:
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("feature arity must be at least 1")
-        if self.match_tolerance < 0:
-            raise ValueError("match tolerance must be nonnegative")
+        if not 0 <= self.match_tolerance < np.inf:
+            raise ValueError("match tolerance must be finite and nonnegative")
 
     def __call__(self, p) -> np.ndarray:
         v = np.atleast_1d(np.asarray(self.evaluator(as_point(p)), dtype=float))
@@ -169,7 +171,7 @@ class DescriptiveSpace:
 
     def __post_init__(self):
         u = as_points(self.universe)
-        dup = np.argwhere(np.triu(_point_close(u, u), 1))
+        dup = np.argwhere(np.triu(point_close(u, u), 1))
         if dup.size:
             i, j = dup[0]
             raise ValueError(
@@ -216,11 +218,6 @@ class DescriptiveSpace:
 # ---------------------------------------------------------------------------
 # relation kernel
 # ---------------------------------------------------------------------------
-
-
-def _point_close(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Boolean (len(P), len(Q)) table: the points are the same within POINT_TOL."""
-    return np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=2) <= POINT_TOL
 
 
 def _description_close(F: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
@@ -284,8 +281,12 @@ class _MaskEngine:
         self.points = points
         self.m = len(points)
         self.full = (1 << self.m) - 1
-        self.same_rows = [_bits(r) for r in _point_close(points, points)]
         self.match_rows = None if match is None else [_bits(r) for r in match]
+
+    @cached_property
+    def same_rows(self) -> list:
+        # only sn reads point identity, so the rows are built on first use
+        return [_bits(r) for r in point_close(self.points, self.points)]
 
     def dnear(self, A: int, B: int) -> bool:
         return _meets(self.match_rows, A, B)
@@ -341,10 +342,7 @@ def _pair(a: Region, b: Region, features: FeatureMap | None = None) -> tuple:
 
 def _whole_space(r: Region, universe: Region | None) -> bool:
     """The universe clause: r and the universe cover each other within POINT_TOL."""
-    if universe is None:
-        return False
-    close = _point_close(r.points, universe.points)
-    return bool(close.any(axis=1).all() and close.any(axis=0).all())
+    return universe is not None and same_point_set(r.points, universe.points)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +373,7 @@ def descriptive_intersection(a: Region, b: Region, features: FeatureMap) -> np.n
     if not hits:
         return np.empty((0, a.dimension))
     pts = eng.points[hits]
-    keep, _ = _merge(_point_close(pts, pts))
+    keep, _ = _merge(point_close(pts, pts))
     return lexsorted(pts[keep])
 
 
@@ -426,7 +424,7 @@ def snd(
 
 def _merged_region(points: np.ndarray, flags: np.ndarray, combine) -> Region:
     """Points merged within POINT_TOL, each group's interior flags folded by combine."""
-    keep, group = _merge(_point_close(points, points))
+    keep, group = _merge(point_close(points, points))
     interior = np.full(keep.size, combine.identity, dtype=bool)
     combine.at(interior, group, flags)
     pts = points[keep]

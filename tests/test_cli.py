@@ -151,6 +151,29 @@ def test_but_search_rejects_bad_grid_spec(capsys):
     assert rc == 2 and err.startswith("error:")
 
 
+_BUT_STRINGS = ["but", "search", "--mode", "strings", "--grid", "n=1", "density=16"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_BUT_STRINGS, "--descriptor", "even-coords", "--tol", "nan"],
+        [*_BUT_STRINGS, "--descriptor", "even-coords", "--tol", "inf"],
+        ["fixedpoint", "--map", "half", "--tol", "inf"],
+        ["axioms", "check", "--family", "strong", "--space", "SPACE",
+         "--features", '{"name":"coords","tolerance":NaN}'],
+    ],
+    ids=["but-nan", "but-inf", "fixedpoint-inf", "axioms-nan"],
+)
+def test_non_finite_tolerances_rejected(capsys, square_file, argv):
+    rc = run_command([str(square_file) if a == "SPACE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "finite" in lines[0]
+
+
 def test_surface_torus_writes_obj(capsys, tmp_path):
     out = tmp_path / "m.obj"
     doc = run_json(

@@ -1,7 +1,11 @@
 """Spatial primitives: hyperplane witnesses, Petty sets, strings, grids."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from proxitop import (
@@ -18,6 +22,7 @@ from proxitop import (
     worldsheet_cover_check,
     worldsheets_antipodal,
 )
+from proxitop.geometry import point_polyline_distance, point_segment_distance
 
 
 def test_hyperplane_normalizes_and_measures():
@@ -194,6 +199,132 @@ def test_worldsheet_cover_check_flags_uncovered_points():
     ws2 = Worldsheet(Region.from_points([[0, 0], [1, 0]]), strings, cover_tolerance=0.5)
     ok2, uncovered2 = worldsheet_cover_check(ws2)
     assert ok2 and uncovered2.shape[0] == 0
+
+
+# -- segment distances against an exact oracle --------------------------------
+
+
+def _exact_distance(p1, q1, p2, q2) -> float:
+    """Distance between the closed segments [p1, q1] and [p2, q2], in exact rationals.
+
+    |p1 + s d1 - p2 - t d2|^2 is a convex quadratic on the unit square. Its
+    least value is at the interior stationary point when that lies inside
+    the square, or else on one of the four edges; with one parameter fixed
+    the other is the clamped minimiser of a quadratic in one variable.
+    """
+    p1, q1, p2, q2 = ([Fraction(float(x)) for x in v] for v in (p1, q1, p2, q2))
+    d1 = [q - p for p, q in zip(p1, q1)]
+    d2 = [q - p for p, q in zip(p2, q2)]
+    r = [x - y for x, y in zip(p1, p2)]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def sq(s, t):
+        gap = [x + s * u - t * v for x, u, v in zip(r, d1, d2)]
+        return dot(gap, gap)
+
+    def clamp(x):
+        return min(max(x, Fraction(0)), Fraction(1))
+
+    a, b, c, e, f = dot(d1, d1), dot(d1, d2), dot(d1, r), dot(d2, d2), dot(d2, r)
+    cands = []
+    den = a * e - b * b
+    if den:
+        s, t = (b * f - c * e) / den, (a * f - b * c) / den
+        if 0 <= s <= 1 and 0 <= t <= 1:
+            cands.append(sq(s, t))
+    for s in (Fraction(0), Fraction(1)):
+        cands.append(sq(s, clamp((b * s + f) / e) if e else Fraction(0)))
+    for t in (Fraction(0), Fraction(1)):
+        cands.append(sq(clamp((b * t - c) / a) if a else Fraction(0), t))
+    return float(min(cands)) ** 0.5
+
+
+def _exact_to_string(p, path) -> float:
+    return min(_exact_distance(p, p, s[0], s[1]) for s in path.segments())
+
+
+def _exact_between(a, b) -> float:
+    return min(_exact_distance(s[0], s[1], t[0], t[1]) for s in a.segments() for t in b.segments())
+
+
+def _lattice_points(n, **kw):
+    return st.lists(
+        st.lists(st.integers(-2, 2).map(lambda i: i * 0.5), min_size=n, max_size=n),
+        **kw,
+    ).map(lambda rows: np.array(rows, dtype=float).reshape(-1, n))
+
+
+@st.composite
+def _segment_pair(draw):
+    """Two segments in R^2..R^4 on a 0.5 lattice: free, point-like, parallel or collinear."""
+    n = draw(st.integers(2, 4))
+    p1, q1, p2, q2 = draw(_lattice_points(n, min_size=4, max_size=4))
+    kind = draw(st.sampled_from(["free", "point", "parallel", "collinear"]))
+    if kind == "point":
+        q2 = p2
+        if draw(st.booleans()):
+            q1 = p1
+    elif kind == "parallel":
+        q2 = p2 + draw(st.sampled_from([-1.0, -0.5, 0.5, 2.0])) * (q1 - p1)
+    elif kind == "collinear":
+        u, w = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]), min_size=2, max_size=2))
+        p2, q2 = p1 + u * (q1 - p1), p1 + w * (q1 - p1)
+    if draw(st.booleans()):
+        p1, q1, p2, q2 = p2, q2, p1, q1
+    return p1, q1, p2, q2
+
+
+def _string(draw, n):
+    verts = draw(_lattice_points(n, min_size=2, max_size=4))
+    closed = draw(st.booleans())
+    ring = np.concatenate([verts, verts[:1]]) if closed else verts
+    assume(np.all(np.any(np.diff(ring, axis=0) != 0, axis=1)))
+    return StringPath(verts, closed=closed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_segment_pair())
+def test_segment_distances_match_exact_oracle(pair):
+    p1, q1, p2, q2 = pair
+    assert point_segment_distance(p1, p2, q2) == pytest.approx(_exact_distance(p1, p1, p2, q2), abs=1e-9)
+    if np.any(p1 != q1) and np.any(p2 != q2):
+        got = polyline_min_distance(StringPath([p1, q1]), StringPath([p2, q2]))
+        assert got == pytest.approx(_exact_distance(p1, q1, p2, q2), abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_polyline_distances_match_exact_oracle(data):
+    n = data.draw(st.integers(2, 4))
+    a, b = _string(data.draw, n), _string(data.draw, n)
+    p = data.draw(_lattice_points(n, min_size=1, max_size=1))[0]
+    assert polyline_min_distance(a, b) == pytest.approx(_exact_between(a, b), abs=1e-9)
+    assert point_polyline_distance(p, a) == pytest.approx(_exact_to_string(p, a), abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_worldsheet_predicates_match_oracle_loops(data):
+    n = data.draw(st.integers(2, 4))
+    tol = data.draw(st.sampled_from([1e-9, 0.3, 0.6]))
+    cover = data.draw(st.sampled_from([0.3, 0.6, 1.1]))
+    sheets = []
+    for _ in range(2):
+        strings = tuple(_string(data.draw, n) for _ in range(data.draw(st.integers(1, 2))))
+        pts = data.draw(_lattice_points(n, min_size=1, max_size=5))
+        sheets.append(Worldsheet(Region.from_points(pts), strings, cover))
+    wa, wb = sheets
+    gaps = [_exact_between(sa, sb) for sa in wa.strings for sb in wb.strings]
+    reach = [min(_exact_to_string(p, s) for s in wa.strings) for p in wa.sheet.points]
+    # a distance within rounding of a threshold has no exact verdict to compare
+    assume(all(abs(d - tol) > 1e-9 for d in gaps) and all(abs(d - cover) > 1e-9 for d in reach))
+    assert worldsheets_antipodal(wa, wb, tol) == any(d > tol for d in gaps)
+    ok, uncovered = worldsheet_cover_check(wa)
+    want = sorted(tuple(p) for p, d in zip(wa.sheet.points, reach) if d > cover)
+    assert ok == (not want)
+    assert [tuple(p) for p in uncovered] == want
 
 
 # -- sphere grids -----------------------------------------------------------

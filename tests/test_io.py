@@ -157,6 +157,13 @@ def test_report_json_deterministic():
     assert '"schema_version": "1"' in one
 
 
+def test_report_json_refuses_non_finite_floats():
+    for bad in (float("nan"), float("inf")):
+        doc = ReportDocument(command="x", parameters={"tol": bad}, results={})
+        with pytest.raises(ValueError):
+            doc.to_json()
+
+
 def test_file_digest_stable(tmp_path):
     p = write(tmp_path, "d.txt", "payload")
     assert file_digest(p) == file_digest(p)
