@@ -3,8 +3,10 @@
 Desk-scale verification engines for antipodality statements:
 
 * but_search pairs antipodal objects (grid samples, strings, or worldsheets)
-  whose descriptor values match within a tolerance, by exhaustive pair
-  enumeration.
+  whose descriptor values match within a tolerance. The result is that of
+  exhaustive pair enumeration, but descriptors are matched first (a
+  sort-and-sweep on one component) and the antipodality predicate runs
+  only on the matched pairs.
 * fixed_point_search locates a fixed point of a self-map of the unit ball
   by iterative grid refinement.
 * wired_friend_pipeline compresses a string into a 4-feature silhouette and
@@ -178,6 +180,27 @@ class ButResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _window_pairs(x: np.ndarray, limit: float) -> np.ndarray:
+    """(p, 2) index pairs (a, b), a < b, in canonical order: every pair with
+    |x[a] - x[b]| <= limit and possibly a few more.
+
+    Sort-and-sweep: in sorted order each value's partners follow it in one
+    window. The window's end is widened past the rounding of x + limit and of
+    the later subtraction, so no pair whose computed gap is at most limit is
+    missed; callers apply the exact test.
+    """
+    n = len(x)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    top = xs + limit
+    top = top + 4.0 * np.finfo(float).eps * (np.abs(top) + limit)
+    counts = np.searchsorted(xs, top, side="right") - np.arange(n) - 1
+    first = np.repeat(np.arange(n), counts)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pairs = np.sort(np.stack([order[first], order[first + 1 + offset]], axis=1), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 def but_search(
     descriptor: RegionDescriptor,
     *,
@@ -191,10 +214,13 @@ def but_search(
     Exactly one object source must be given. For a sphere grid the
     antipodal pairs are the grid's own sample pairings; for strings,
     antipodality is a nonempty vertex-set symmetric difference; for
-    worldsheets, some disjoint pair of member strings. Every candidate pair
-    is enumerated and kept when the descriptor distance (max-norm) is at
-    most tol (default: the descriptor's own tolerance). Pairs are reported
-    in canonical (a, b) index order with a < b.
+    worldsheets, some disjoint pair of member strings. A pair is kept when
+    it is antipodal and its descriptor distance (max-norm) is at most tol
+    (default: the descriptor's own tolerance). The result equals that of
+    enumerating every pair; for strings and worldsheets the descriptor
+    match is found first and the antipodality predicate runs only on the
+    matched pairs. Pairs are reported in canonical (a, b) index order with
+    a < b.
     """
     sources = [s for s in ((grid, "points"), (strings, "strings"), (sheets, "sheets")) if s[0] is not None]
     if len(sources) != 1:
@@ -206,24 +232,29 @@ def but_search(
 
     if mode == "points":
         objects = [source.samples[i] for i in range(source.size)]
-        candidates = [tuple(p) for p in source.antipodal_pairs()]
     else:
         objects = list(source)
-        pred = strings_antipodal if mode == "strings" else worldsheets_antipodal
-        candidates = [
-            (i, j)
-            for i in range(len(objects))
-            for j in range(i + 1, len(objects))
-            if pred(objects[i], objects[j])
-        ]
+        members = objects if mode == "strings" else [s for w in objects for s in w.strings]
+        if len({s.dimension for s in members}) > 1:
+            raise ValueError("strings must share a dimension")
 
-    values = [descriptor(o) for o in objects]
-    pairs = []
-    for i, j in candidates:
-        dist = float(np.max(np.abs(values[i] - values[j])))
-        if dist <= limit:
-            pairs.append(ButPair(int(i), int(j), tuple(float(v) for v in values[i]), dist))
-    return ButResult(mode, len(objects), tuple(pairs))
+    values = np.array([descriptor(o) for o in objects]).reshape(len(objects), descriptor.arity)
+    if mode == "points":
+        candidates = source.antipodal_pairs()
+    else:
+        candidates = _window_pairs(values[:, 0], limit)
+    gaps = np.max(np.abs(values[candidates[:, 0]] - values[candidates[:, 1]]), axis=1)
+    close = gaps <= limit
+    matched, gaps = candidates[close], gaps[close]
+    if mode != "points":
+        pred = strings_antipodal if mode == "strings" else worldsheets_antipodal
+        antipodal = np.array([pred(objects[a], objects[b]) for a, b in matched], dtype=bool)
+        matched, gaps = matched[antipodal], gaps[antipodal]
+    pairs = tuple(
+        ButPair(int(a), int(b), tuple(float(v) for v in values[a]), float(d))
+        for (a, b), d in zip(matched, gaps)
+    )
+    return ButResult(mode, len(objects), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +291,17 @@ class BallCheck:
 
 
 def _batch_eval(f, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f on (m, n) points, using a batched call when f supports it."""
+    """Evaluate f on (m, n) points, using a batched call when f supports it.
+
+    A per-point map given an (m, n) array raises TypeError, ValueError or
+    IndexError, or returns the wrong shape; then f runs point by point. Any
+    other error is the map's own and propagates.
+    """
     try:
         out = np.asarray(f(pts), dtype=float)
         if out.shape == pts.shape and np.all(np.isfinite(out)):
             return out
-    except Exception:
+    except (TypeError, ValueError, IndexError):
         pass
     return np.array([as_point(f(p)) for p in pts])
 

@@ -394,15 +394,21 @@ def _segment_distances(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     S, T are (k, 2, n) and (l, 2, n) endpoints, or (k, 1, n) for points (ends
     that coincide). Clamped closed form (Lumelsky 1985): s from the normal
     equations, t for s, then s for t, each clamped to [0, 1]; s = 0 if parallel.
+    The normal equations' determinant a*e - b*b and numerator b*f - c*e are
+    sums over the 2x2 minors (Lagrange and Binet-Cauchy identities), which do
+    not cancel for nearly parallel segments as the products of dot products do.
     """
     p1, d1 = S[:, None, 0], S[:, None, -1] - S[:, None, 0]
     p2, d2 = T[None, :, 0], T[None, :, -1] - T[None, :, 0]
     r = p1 - p2
     a, b, c = (np.sum(d1 * v, axis=2) for v in (d1, d2, r))
     e, f = (np.sum(d2 * v, axis=2) for v in (d2, r))
+    i, j = np.triu_indices(S.shape[-1], 1)
+    d12 = d1[..., i] * d2[..., j] - d1[..., j] * d2[..., i]
+    d2r = d2[..., i] * r[..., j] - d2[..., j] * r[..., i]
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = a * e - b * b
-        s = np.where(denom > 1e-300, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        denom = np.sum(d12 * d12, axis=2)
+        s = np.where(denom > 1e-300, np.clip(np.sum(d12 * d2r, axis=2) / denom, 0.0, 1.0), 0.0)
         t = np.where(e > 1e-300, np.clip((b * s + f) / e, 0.0, 1.0), 0.0)
         s = np.where(a > 1e-300, np.clip((b * t - c) / a, 0.0, 1.0), 0.0)
     return np.linalg.norm(r + s[..., None] * d1 - t[..., None] * d2, axis=2)

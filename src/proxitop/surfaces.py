@@ -63,6 +63,10 @@ class TorusParams:
     tube_radius: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.center_radius) and np.isfinite(self.tube_radius)):
+            raise ValueError(
+                f"torus radii must be finite, got c={self.center_radius} r={self.tube_radius}"
+            )
         if not (self.tube_radius > 0):
             raise ValueError("torus tube radius must be positive")
         if not (self.center_radius > self.tube_radius):

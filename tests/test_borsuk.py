@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxitop import (
     BallCheck,
     BallRangeError,
     RefinementBudgetError,
+    Region,
+    RegionDescriptor,
     StringPath,
+    Worldsheet,
     but_search,
     corner_region_descriptor,
     feature_descriptor,
@@ -17,7 +22,9 @@ from proxitop import (
     sphere_sample,
     string_shape_features,
     wired_friend_pipeline,
+    worldsheets_antipodal,
 )
+from proxitop import borsuk
 
 DOTTIE = 0.7390851332151607  # cos x = x, frozen from the bisection oracle below
 
@@ -112,6 +119,139 @@ def test_shape_descriptor_on_congruent_strings():
     c = StringPath([[0.0, 0.0], [2.0, 0.0]])
     res = but_search(desc, strings=[a, b, c], tol=1e-9)
     assert [(p.a, p.b) for p in res.pairs] == [(0, 1)]
+
+
+def sheet_of(*members):
+    return Worldsheet(Region.from_points(np.concatenate([m.vertices for m in members])), members, 1e-6)
+
+
+def lookup_descriptor(objects, values, arity):
+    """Descriptor that returns values[k] for objects[k] (by identity)."""
+    table = {id(o): np.asarray(v, dtype=float) for o, v in zip(objects, values)}
+    return RegionDescriptor(arity, lambda o: table[id(o)], 0.0, "lookup")
+
+
+_LATTICE_VERTS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def _search_case(draw):
+    """Strings or sheets with constant, lattice or inexact descriptor values.
+
+    Lattice values make gaps of exactly tol; with inexact values tol is one
+    pair's computed gap, which x + tol can round away from.
+    """
+    strings = []
+    for _ in range(draw(st.integers(0, 9))):
+        if strings and draw(st.booleans()):
+            # a duplicate or a vertex-permuted copy of an earlier string
+            v = draw(st.sampled_from(strings)).vertices
+            v = v[draw(st.permutations(range(len(v))))]
+        else:
+            v = np.array(draw(st.lists(_LATTICE_VERTS, min_size=2, max_size=3, unique=True)), dtype=float)
+        strings.append(StringPath(v))
+    mode = draw(st.sampled_from(["strings", "sheets"]))
+    if mode == "sheets" and strings:
+        k = draw(st.integers(0, 6))
+        objects = [
+            sheet_of(*draw(st.lists(st.sampled_from(strings), min_size=1, max_size=2)))
+            for _ in range(k)
+        ]
+    else:
+        objects = strings
+    arity = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([0.1, 0.25, 1.0 / 3.0]))
+    base = draw(st.sampled_from([0.0, -7.3, 1e6]))
+    kind = draw(st.sampled_from(["lattice", "constant", "float"]))
+    if kind == "constant":  # every pair matches
+        values = [[base] * arity] * len(objects)
+    elif kind == "lattice":
+        values = [
+            [base + step * k for k in draw(st.lists(st.integers(-3, 3), min_size=arity, max_size=arity))]
+            for _ in objects
+        ]
+    else:
+        inexact = st.integers(-10**6, 10**6).map(lambda k: k / 997.0)
+        values = [draw(st.lists(inexact, min_size=arity, max_size=arity)) for _ in objects]
+        if len(objects) >= 2:
+            a, b = draw(st.lists(st.integers(0, len(objects) - 1), min_size=2, max_size=2, unique=True))
+            return mode, objects, values, arity, abs(values[a][0] - values[b][0])
+    tol = step * draw(st.sampled_from([0, 0, 1, 2]))
+    return mode, objects, values, arity, tol
+
+
+def _vertex_sets_differ(a, b):
+    return set(map(tuple, a.vertices)) != set(map(tuple, b.vertices))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_search_case())
+def test_string_and_sheet_search_match_brute_force(case):
+    mode, objects, values, arity, tol = case
+    desc = lookup_descriptor(objects, values, arity)
+    pred = _vertex_sets_differ if mode == "strings" else worldsheets_antipodal
+    want = []
+    for a in range(len(objects)):
+        for b in range(a + 1, len(objects)):
+            va, vb = desc(objects[a]), desc(objects[b])
+            d = float(np.max(np.abs(va - vb)))
+            if d <= tol and pred(objects[a], objects[b]):
+                want.append((a, b, tuple(float(x) for x in va), d))
+    res = but_search(desc, tol=tol, **{mode: objects})
+    assert res.mode == mode and res.object_count == len(objects) and res.exhaustive
+    assert [tuple(p) for p in res.pairs] == want
+
+
+@pytest.mark.parametrize("mode", ["strings", "sheets"])
+def test_predicate_runs_only_on_descriptor_matched_pairs(monkeypatch, mode):
+    _, arcs = arc_strings(32)
+    objects = arcs if mode == "strings" else [sheet_of(a, b) for a, b in zip(arcs[::2], arcs[1::2])]
+    name = "strings_antipodal" if mode == "strings" else "worldsheets_antipodal"
+    desc = feature_descriptor(even_map(2), "mean")
+    expected = borsuk.but_search(desc, tol=1e-9, **{mode: objects})
+    index = {id(o): k for k, o in enumerate(objects)}
+    calls = []
+    original = getattr(borsuk, name)
+
+    def counting(a, b):
+        calls.append((index[id(a)], index[id(b)]))
+        return original(a, b)
+
+    monkeypatch.setattr(borsuk, name, counting)
+    res = borsuk.but_search(desc, tol=1e-9, **{mode: objects})
+    matched = [
+        (a, b)
+        for a in range(len(objects))
+        for b in range(a + 1, len(objects))
+        if np.max(np.abs(desc(objects[a]) - desc(objects[b]))) <= 1e-9
+    ]
+    assert matched and len(matched) < len(objects) * (len(objects) - 1) // 2
+    assert calls == matched
+    assert res == expected
+
+
+def test_mixed_dimension_strings_rejected():
+    flat = StringPath([[0.0, 0.0], [1.0, 0.0]])
+    space = StringPath([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    desc = feature_descriptor(even_map(2), "mean")  # fails on R^3 points if evaluated
+    with pytest.raises(ValueError, match="strings must share a dimension"):
+        but_search(desc, strings=[flat, flat, space])
+
+
+def test_mixed_dimension_sheets_rejected():
+    flat = sheet_of(StringPath([[0.0, 0.0], [1.0, 0.0]]))
+    space = sheet_of(StringPath([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    desc = feature_descriptor(even_map(2), "mean")
+    with pytest.raises(ValueError, match="strings must share a dimension"):
+        but_search(desc, sheets=[flat, space])
+
+
+def test_empty_and_single_string_searches_are_empty():
+    desc = feature_descriptor(even_map(2), "mean")
+    for strings in ([], [StringPath([[0.0, 0.0], [1.0, 0.0]])]):
+        res = but_search(desc, strings=strings, tol=1.0)
+        assert res.object_count == len(strings)
+        assert res.pairs == () and res.exhaustive
 
 
 # -- corner lemma -----------------------------------------------------------
@@ -209,6 +349,17 @@ def test_fixed_point_budget_exhausts_on_fixed_point_free_map():
     # search cannot zoom far enough
     with pytest.raises(RefinementBudgetError):
         fixed_point_search(shift, 1, tol=1e-15, max_refinements=1)
+
+
+def test_fixed_point_search_surfaces_batched_map_errors():
+    def flaky(v):
+        v = np.asarray(v, dtype=float)
+        if v.ndim > 1:
+            raise RuntimeError("batched evaluation failed")
+        return v / 2.0
+
+    with pytest.raises(RuntimeError, match="batched evaluation failed"):
+        fixed_point_search(flaky, 1)
 
 
 def test_ball_check_contains():

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, report bytes, artifacts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,21 @@ def test_surface_torus_flat_ring_rejected(capsys, tmp_path):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and "requires c > r" in err
+
+
+def test_surface_torus_infinite_radius_rejected(capsys, tmp_path):
+    out = tmp_path / "m.obj"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_command(
+            ["surface", "torus", "--c", "inf", "--r", "1", "--grid", "4x4", "--out", str(out)]
+        )
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "finite" in lines[0]
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
 
 
 def test_eeg_lift_round_trip(capsys, trace_file, tmp_path):

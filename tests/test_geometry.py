@@ -177,6 +177,17 @@ def test_polyline_min_distance_crossing_is_zero():
     assert polyline_min_distance(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_nearly_parallel_crossing_segments_meet():
+    # they cross at the origin at an angle of 1e-9; a determinant of the
+    # normal equations formed as a*e - b*b is cancellation noise here
+    a = StringPath([[-1000.0, 0.0], [1000.0, 0.0]])
+    b = StringPath([[-1000.0, -1e-6], [1000.0, 1e-6]])
+    assert polyline_min_distance(a, b) <= 1e-12
+    ws_a = Worldsheet(Region.from_points(a.vertices), (a,), 1e-6)
+    ws_b = Worldsheet(Region.from_points(b.vertices), (b,), 1e-6)
+    assert not worldsheets_antipodal(ws_a, ws_b)
+
+
 def test_worldsheets_antipodal():
     a1 = StringPath([[0, 0], [1, 0]])
     a2 = StringPath([[0, 0.1], [1, 0.1]])

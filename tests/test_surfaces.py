@@ -74,6 +74,12 @@ def test_ring_condition_enforced():
         TorusParams(0.5, 1.5)
 
 
+@pytest.mark.parametrize("c, r", [(np.inf, 1.0), (2.0, np.inf), (np.nan, 1.0), (2.0, -np.inf)])
+def test_torus_radii_must_be_finite(c, r):
+    with pytest.raises(ValueError, match="must be finite"):
+        TorusParams(c, r)
+
+
 def test_torus_measures_closed_form():
     area, volume = torus_measures(TorusParams(2.0, 1.0))
     assert abs(area - 8.0 * np.pi**2) <= 1e-12
