@@ -29,8 +29,8 @@ from .geometry import (
     StringPath,
     Worldsheet,
     as_point,
-    as_points,
     strings_antipodal,
+    value_table,
     worldsheets_antipodal,
 )
 from .proximity import FeatureMap
@@ -64,6 +64,7 @@ class RegionDescriptor:
     Objects may be bare points, strings, regions, or worldsheets depending
     on the reducer. Reducers must not depend on vertex order beyond the
     string structure itself (permutation invariance over unordered inputs).
+    Calls check the reducer's values with geometry.value_table.
     """
 
     arity: int
@@ -78,24 +79,19 @@ class RegionDescriptor:
             raise ValueError("match tolerance must be finite and nonnegative")
 
     def __call__(self, obj) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(self.reducer(obj), dtype=float))
-        if v.shape != (self.arity,):
-            raise ValueError(
-                f"descriptor {self.name!r} returned shape {v.shape}, expected ({self.arity},)"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"descriptor {self.name!r} returned non-finite values")
-        return v
+        values = [np.atleast_1d(self.reducer(obj))]
+        return value_table(values, (1, self.arity), f"descriptor {self.name!r}")[0]
 
 
-def _object_points(obj) -> np.ndarray:
+def _object_points(obj):
+    """The points describing obj; a bare point is left for FeatureMap.rows to coerce."""
     if isinstance(obj, StringPath):
         return obj.vertices
     if isinstance(obj, Region):
         return obj.points
     if isinstance(obj, Worldsheet):
         return obj.sheet.points
-    return as_points(obj)
+    return obj
 
 
 def feature_descriptor(
@@ -103,26 +99,22 @@ def feature_descriptor(
 ) -> RegionDescriptor:
     """Lift a point feature map to whole objects.
 
-    A bare point is described directly. A string, region, or worldsheet is
-    described by reducing the feature values of its points: "mean" averages
-    them (arity k), "minmax" concatenates the feature-wise minimum and
-    maximum (arity 2k). Both reductions ignore point order.
+    An object is described by reducing features.rows of its points (a bare
+    point is a one-point set): "mean" averages the rows (arity k), "minmax"
+    concatenates the feature-wise minimum and maximum (arity 2k). Both
+    reductions ignore point order.
     """
     tol = features.match_tolerance if match_tolerance is None else float(match_tolerance)
     if reduce == "mean":
 
         def red(obj):
-            pts = np.atleast_2d(_object_points(obj))
-            if pts.shape[0] == 1:
-                return features(pts[0])
-            return np.mean(features.rows(pts), axis=0)
+            return np.mean(features.rows(_object_points(obj)), axis=0)
 
         return RegionDescriptor(features.arity, red, tol, f"mean-{features.name}")
     if reduce == "minmax":
 
         def red(obj):
-            pts = np.atleast_2d(_object_points(obj))
-            rows = features.rows(pts)
+            rows = features.rows(_object_points(obj))
             return np.concatenate([rows.min(axis=0), rows.max(axis=0)])
 
         return RegionDescriptor(2 * features.arity, red, tol, f"minmax-{features.name}")
@@ -290,22 +282,6 @@ class BallCheck:
         return bool(np.linalg.norm(as_point(p) - self.center) <= self.radius + tol)
 
 
-def _batch_eval(f, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f on (m, n) points, using a batched call when f supports it.
-
-    A per-point map given an (m, n) array raises TypeError, ValueError or
-    IndexError, or returns the wrong shape; then f runs point by point. Any
-    other error is the map's own and propagates.
-    """
-    try:
-        out = np.asarray(f(pts), dtype=float)
-        if out.shape == pts.shape and np.all(np.isfinite(out)):
-            return out
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.array([as_point(f(p)) for p in pts])
-
-
 def fixed_point_search(
     f: Callable[[np.ndarray], np.ndarray],
     dimension: int,
@@ -322,6 +298,11 @@ def fixed_point_search(
     is re-expanded toward it instead of shrunk (||f(x) - x|| is convex for
     affine maps, so an edge argmin is exactly that signal). Returns the
     first grid point with residual at most tol.
+
+    f must act row-wise: it maps an (m, n) array of points to the finite
+    (m, n) array of their images, once per round over the whole grid. The
+    answer's image alone must agree with its grid row within POINT_TOL, or
+    ValueError is raised: a map that mixes rows would fake a fixed point.
 
     Raises BallRangeError when f leaves the ball at any sampled point, and
     RefinementBudgetError when max_refinements rounds end above tol.
@@ -345,7 +326,7 @@ def fixed_point_search(
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         inside = np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12
         pts = pts[inside]
-        out = _batch_eval(f, pts)
+        out = value_table(f(pts), pts.shape, "fixed-point map")
         norms = np.linalg.norm(out, axis=1)
         if np.any(norms > 1.0 + 1e-9):
             worst = pts[int(np.argmax(norms))]
@@ -356,14 +337,14 @@ def fixed_point_search(
         k = int(np.argmin(res))
         best, best_res = pts[k], float(res[k])
         if best_res <= tol:
+            alone = value_table(f(best[None]), (1, n), "fixed-point map")[0]
+            if np.linalg.norm(alone - out[k]) > POINT_TOL:
+                raise ValueError("fixed-point map is not row-wise: a point's image depends on the grid")
             return best
         spacing = np.max((hi - lo) / (grid_points - 1))
-        pinned = False
-        for ax in range(n):
-            if best[ax] - lo[ax] <= spacing and lo[ax] > -1.0 + 1e-12:
-                pinned = True
-            if hi[ax] - best[ax] <= spacing and hi[ax] < 1.0 - 1e-12:
-                pinned = True
+        pinned = np.any((best - lo <= spacing) & (lo > -1.0 + 1e-12)) or np.any(
+            (hi - best <= spacing) & (hi < 1.0 - 1e-12)
+        )
         center = best
         halfwidth = min(1.0, halfwidth * 4.0) if pinned else halfwidth / 10.0
     raise RefinementBudgetError(

@@ -41,6 +41,7 @@ __all__ = [
     "SphereGrid",
     "as_point",
     "as_points",
+    "value_table",
     "lexsorted",
     "point_close",
     "same_point_set",
@@ -64,7 +65,7 @@ def as_point(p) -> np.ndarray:
     a = np.asarray(p, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("point must be a nonempty 1-d coordinate vector")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("point coordinates must be finite")
     return a
 
@@ -76,8 +77,21 @@ def as_points(pts) -> np.ndarray:
         a = a[None, :]
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
         raise ValueError("expected a nonempty (m, n) array of points")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("point coordinates must be finite")
+    return a
+
+
+def value_table(values, shape: tuple, name: str) -> np.ndarray:
+    """A map's values as a finite float64 (count, width) array, else ValueError naming the map."""
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} returned ragged or non-numeric values, expected {shape}") from None
+    if a.shape != shape:
+        raise ValueError(f"{name} returned shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} returned non-finite values, expected finite {shape}")
     return a
 
 

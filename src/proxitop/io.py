@@ -78,15 +78,19 @@ def load_trace_csv(path) -> list:
     return out
 
 
+def _write_rows(path, header: list, a: np.ndarray) -> None:
+    """Write a header line and one row per point, floats as shortest round-trip repr."""
+    lines = [",".join(header)] + [",".join(map(repr, p)) for p in a.tolist()]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def save_curve_csv(path, points) -> None:
     """Write 3-D curve vertices as x,y,z rows (shortest round-trip floats)."""
     a = np.asarray(points, dtype=float)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError("curve must be an (m, 3) array")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,y,z\n")
-        for p in a:
-            fh.write(",".join(repr(float(c)) for c in p) + "\n")
+    _write_rows(path, ["x", "y", "z"], a)
 
 
 def load_points_csv(path) -> np.ndarray:
@@ -115,10 +119,7 @@ def save_points_csv(path, points) -> None:
     a = np.asarray(points, dtype=float)
     if a.ndim != 2 or a.shape[0] == 0:
         raise ValueError("point set must be a nonempty (m, n) array")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(f"x{i+1}" for i in range(a.shape[1])) + "\n")
-        for p in a:
-            fh.write(",".join(repr(float(c)) for c in p) + "\n")
+    _write_rows(path, [f"x{i+1}" for i in range(a.shape[1])], a)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .geometry import (
     lexsorted,
     point_close,
     same_point_set,
+    value_table,
 )
 
 EXHAUSTIVE_LIMIT = 6
@@ -90,7 +91,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Total feature map Phi: point -> R^arity with a component-wise match tolerance."""
+    """Total feature map Phi: point -> R^arity with a component-wise match tolerance.
+
+    The evaluator maps one point (1-d array) to its arity values; rows runs
+    it per point and checks the (m, arity) table once (geometry.value_table).
+    """
 
     arity: int
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -104,18 +109,13 @@ class FeatureMap:
             raise ValueError("match tolerance must be finite and nonnegative")
 
     def __call__(self, p) -> np.ndarray:
-        v = np.atleast_1d(np.asarray(self.evaluator(as_point(p)), dtype=float))
-        if v.shape != (self.arity,):
-            raise ValueError(
-                f"feature map {self.name!r} returned shape {v.shape}, expected ({self.arity},)"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"feature map {self.name!r} returned non-finite values")
-        return v
+        return self.rows(as_point(p)[None])[0]
 
     def rows(self, points) -> np.ndarray:
         """Descriptions of the points, one row each: an (m, arity) array."""
-        return np.array([self(p) for p in points]).reshape(len(points), self.arity)
+        P = as_points(points)
+        values = [np.atleast_1d(self.evaluator(p)) for p in P]  # a scalar serves arity 1
+        return value_table(values, (len(P), self.arity), f"feature map {self.name!r}")
 
 
 def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:

@@ -89,13 +89,14 @@ class TwistSpec:
 
 def _sheet_coords(u, t, width: float, height: float) -> tuple:
     """Sheet coordinates as float arrays, checked against [0, width] x [0, height]."""
-    if not (width > 0 and height > 0):
-        raise ValueError("sheet width and height must be positive")
+    if not (0 < width < np.inf and 0 < height < np.inf):
+        raise ValueError("sheet width and height must be finite and positive")
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(u < -1e-12) or np.any(u > width + 1e-12):
+    # "not inside" rather than "outside", so NaN fails the range tests
+    if not np.all((u >= -1e-12) & (u <= width + 1e-12)):
         raise ValueError("sheet coordinate u outside [0, width]")
-    if np.any(t < -1e-12) or np.any(t > height + 1e-12):
+    if not np.all((t >= -1e-12) & (t <= height + 1e-12)):
         raise ValueError("sheet coordinate t outside [0, height]")
     return u, t
 
@@ -236,11 +237,13 @@ def trace_to_torus_band(params: TorusParams, trace, tube_strings: int = 16) -> t
     the z-range, 0 when the trace is flat). tube_strings parallel copies
     wrap the tube, giving m*tube_strings vertices, all exactly on the
     torus, and (m-1)*tube_strings quads (wrapping in the tube direction
-    only). Needs at least 2 samples and a nonconstant abscissa.
+    only). Needs at least 2 finite samples and a nonconstant abscissa.
     """
     a = np.asarray(trace, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 2:
         raise ValueError("trace must be an (m, 2) array with m >= 2")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("trace samples must be finite")
     k = int(tube_strings)
     if k < 3:
         raise ValueError("tube_strings must be at least 3")

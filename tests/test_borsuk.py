@@ -362,6 +362,26 @@ def test_fixed_point_search_surfaces_batched_map_errors():
         fixed_point_search(flaky, 1)
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        # row-wise in shape, but each grid row gets another point's image
+        (lambda v: np.asarray(v)[::-1] / 2 + [0.3, 0.0], "not row-wise"),
+        # a per-point map: on the grid it swaps the first two rows
+        (lambda v: np.array([v[1], v[0]]) / 2, r"returned shape \(2, 2\)"),
+        (lambda v: np.where(np.asarray(v) > 0.5, np.nan, np.asarray(v) / 2), "non-finite"),
+    ],
+)
+def test_fixed_point_search_refuses_maps_that_are_not_row_wise(f, message):
+    with pytest.raises(ValueError, match=message):
+        fixed_point_search(f, 2)
+
+
+def test_fixed_point_search_accepts_map_of_point_arrays_only():
+    x = fixed_point_search(lambda P: P[:, ::-1] / 2, 2)
+    assert np.linalg.norm(x) <= 1e-8
+
+
 def test_ball_check_contains():
     ball = BallCheck.unit(3)
     assert ball.contains([0.5, 0.5, 0.5])

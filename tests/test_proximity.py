@@ -39,6 +39,55 @@ def test_feature_map_validates_output():
         fm([0.0, 0.0])
 
 
+@st.composite
+def _builtin_map_and_points(draw):
+    """A built-in feature map and 1-6 points in its domain."""
+    kind = draw(st.sampled_from(["coords", "even-coords", "norm", "adjacency-count", "constant", "lattice"]))
+    if kind == "lattice":
+        sp = random_space(draw(st.integers(0, 50)), kind="lattice")
+        rows = draw(st.lists(st.integers(0, sp.size - 1), min_size=1, max_size=6))
+        return sp.features, sp.universe[rows]
+    if kind == "adjacency-count":
+        w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        fm = feature_map_from_config({"name": kind, "width": w, "height": h})
+        cells = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+        return fm, np.array(draw(st.lists(cells, min_size=1, max_size=6)), dtype=float)
+    dim = draw(st.integers(1, 4))
+    if kind == "constant":
+        value = draw(st.lists(st.floats(-5, 5), min_size=1, max_size=3))
+        fm = feature_map_from_config({"name": kind, "value": value})
+    else:
+        fm = feature_map_from_config({"name": kind, "dim": dim})
+    coords = st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)
+    return fm, np.array(draw(st.lists(coords, min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_builtin_map_and_points())
+def test_feature_rows_equal_per_point_calls_bit_for_bit(case):
+    fm, P = case
+    table = fm.rows(P)
+    assert table.shape == (len(P), fm.arity)
+    assert table.tobytes() == np.array([fm(p) for p in P]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "arity, evaluator, what",
+    [
+        (2, lambda p: np.array([1.0]), "shape"),
+        (1, lambda p: np.array([[1.0]]), "shape"),
+        (2, lambda p: [1.0] if p[0] > 0 else [1.0, 2.0], "ragged"),
+        (1, lambda p: ["one"], "non-numeric"),
+        (1, lambda p: [np.nan] if p[0] > 0 else [0.0], "non-finite"),
+        (2, lambda p: [0.0, np.inf] if p[0] > 0 else [0.0, 0.0], "non-finite"),
+    ],
+)
+def test_feature_rows_refuse_bad_values_naming_the_map(arity, evaluator, what):
+    fm = FeatureMap(arity, evaluator, name="probe")
+    with pytest.raises(ValueError, match=f"feature map 'probe' returned .*{what}"):
+        fm.rows([[0.0, 0.0], [1.0, 0.0]])
+
+
 def test_feature_map_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         feature_map_from_config({"name": "norm", "bogus": 1})

@@ -224,3 +224,22 @@ def test_trace_band_needs_x_spread():
     tp = TorusParams(2.0, 1.0)
     with pytest.raises(ValueError, match="spans no range"):
         trace_to_torus_band(tp, np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("u, t", [(np.nan, 0.5), (0.5, np.nan), ([0.2, np.nan], 0.5)])
+def test_sheet_maps_refuse_nan_coordinates(u, t):
+    with pytest.raises(ValueError, match="outside"):
+        roll_worldsheet(u, t, 1.0, 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        sheet_to_torus(TorusParams(2.0, 1.0), u, t, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("width, height", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0)])
+def test_sheet_maps_refuse_non_finite_sheet_size(width, height):
+    with pytest.raises(ValueError, match="finite and positive"):
+        roll_worldsheet(0.5, 0.5, width, height)
+
+
+def test_torus_band_refuses_non_finite_trace():
+    with pytest.raises(ValueError, match="must be finite"):
+        trace_to_torus_band(TorusParams(3.0, 1.0), [[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]])
