@@ -16,9 +16,7 @@ Desk-scale verification engines for antipodality statements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
-
-import json
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,10 +31,9 @@ from .geometry import (
     value_table,
     worldsheets_antipodal,
 )
-from .proximity import FeatureMap
+from .proximity import FeatureMap, pointwise
 
 __all__ = [
-    "RegionDescriptor",
     "ButPair",
     "ButResult",
     "BallCheck",
@@ -57,73 +54,57 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionDescriptor:
-    """Descriptor f: object -> R^arity with a component-wise match tolerance.
-
-    Objects may be bare points, strings, regions, or worldsheets depending
-    on the reducer. Reducers must not depend on vertex order beyond the
-    string structure itself (permutation invariance over unordered inputs).
-    Calls check the reducer's values with geometry.value_table.
-    """
-
-    arity: int
-    reducer: Callable[[Any], np.ndarray]
-    match_tolerance: float = 0.0
-    name: str = "custom"
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise ValueError("descriptor arity must be at least 1")
-        if not 0 <= self.match_tolerance < np.inf:
-            raise ValueError("match tolerance must be finite and nonnegative")
-
-    def __call__(self, obj) -> np.ndarray:
-        values = [np.atleast_1d(self.reducer(obj))]
-        return value_table(values, (1, self.arity), f"descriptor {self.name!r}")[0]
+# FeatureMap is the one descriptor type; the name RegionDescriptor stays only
+# because the benchmark tracer (bench/tracing.py) looks it up on import
+RegionDescriptor = FeatureMap
 
 
-def _object_points(obj):
-    """The points describing obj; a bare point is left for FeatureMap.rows to coerce."""
+def _object_points(obj) -> np.ndarray:
+    """The (p, n) points describing obj; a bare point is a one-point set."""
     if isinstance(obj, StringPath):
         return obj.vertices
     if isinstance(obj, Region):
         return obj.points
     if isinstance(obj, Worldsheet):
         return obj.sheet.points
-    return obj
+    return as_point(obj)[None]
 
 
 def feature_descriptor(
     features: FeatureMap, reduce: str = "mean", match_tolerance: float | None = None
-) -> RegionDescriptor:
-    """Lift a point feature map to whole objects.
+) -> FeatureMap:
+    """Lift a point feature map to a descriptor of whole objects.
 
-    An object is described by reducing features.rows of its points (a bare
-    point is a one-point set): "mean" averages the rows (arity k), "minmax"
-    concatenates the feature-wise minimum and maximum (arity 2k). Both
-    reductions ignore point order.
+    The descriptor is a FeatureMap whose batch is a list of strings,
+    regions, worldsheets or bare points (a bare point is a one-point set).
+    Objects with equal point count and dimension are described together by
+    one features.rows call, and each object's rows are reduced: "mean"
+    averages them (arity k), "minmax" concatenates the feature-wise minimum
+    and maximum (arity 2k). Both reductions ignore point order.
     """
+    if reduce not in ("mean", "minmax"):
+        raise ValueError(f"unknown reduction: {reduce!r}")
     tol = features.match_tolerance if match_tolerance is None else float(match_tolerance)
-    if reduce == "mean":
+    width = features.arity * (1 if reduce == "mean" else 2)
 
-        def red(obj):
-            return np.mean(features.rows(_object_points(obj)), axis=0)
+    def describe(objects):
+        sets = [_object_points(o) for o in objects]
+        groups: dict = {}
+        for i, P in enumerate(sets):
+            groups.setdefault(P.shape, []).append(i)
+        out = np.empty((len(sets), width))
+        for (p, _), idx in groups.items():
+            # (objects, points, arity); reduce over each object's own points
+            R = features.rows(np.concatenate([sets[i] for i in idx])).reshape(len(idx), p, -1)
+            out[idx] = R.mean(axis=1) if reduce == "mean" else np.hstack([R.min(axis=1), R.max(axis=1)])
+        return out
 
-        return RegionDescriptor(features.arity, red, tol, f"mean-{features.name}")
-    if reduce == "minmax":
-
-        def red(obj):
-            rows = features.rows(_object_points(obj))
-            return np.concatenate([rows.min(axis=0), rows.max(axis=0)])
-
-        return RegionDescriptor(2 * features.arity, red, tol, f"minmax-{features.name}")
-    raise ValueError(f"unknown reduction: {reduce!r}")
+    return FeatureMap(width, describe, tol, f"{reduce}-{features.name}")
 
 
-def shape_descriptor(match_tolerance: float = 0.0) -> RegionDescriptor:
+def shape_descriptor(match_tolerance: float = 0.0) -> FeatureMap:
     """The 4-feature string silhouette as a descriptor (strings only)."""
-    return RegionDescriptor(4, string_shape_features, match_tolerance, "shape")
+    return FeatureMap(4, pointwise(string_shape_features), match_tolerance, "shape")
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +149,6 @@ class ButResult:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _window_pairs(x: np.ndarray, limit: float) -> np.ndarray:
     """(p, 2) index pairs (a, b), a < b, in canonical order: every pair with
@@ -194,7 +172,7 @@ def _window_pairs(x: np.ndarray, limit: float) -> np.ndarray:
 
 
 def but_search(
-    descriptor: RegionDescriptor,
+    descriptor: FeatureMap,
     *,
     grid: SphereGrid | None = None,
     strings: list | None = None,
@@ -212,7 +190,8 @@ def but_search(
     enumerating every pair; for strings and worldsheets the descriptor
     match is found first and the antipodality predicate runs only on the
     matched pairs. Pairs are reported in canonical (a, b) index order with
-    a < b.
+    a < b. One descriptor.rows call describes every object; for a grid the
+    batch is the (m, n) sample table.
     """
     sources = [s for s in ((grid, "points"), (strings, "strings"), (sheets, "sheets")) if s[0] is not None]
     if len(sources) != 1:
@@ -223,14 +202,14 @@ def but_search(
         raise ValueError("tolerance must be finite and nonnegative")
 
     if mode == "points":
-        objects = [source.samples[i] for i in range(source.size)]
+        objects = source.samples
     else:
         objects = list(source)
         members = objects if mode == "strings" else [s for w in objects for s in w.strings]
         if len({s.dimension for s in members}) > 1:
             raise ValueError("strings must share a dimension")
 
-    values = np.array([descriptor(o) for o in objects]).reshape(len(objects), descriptor.arity)
+    values = descriptor.rows(objects)
     if mode == "points":
         candidates = source.antipodal_pairs()
     else:

@@ -33,9 +33,8 @@ triple when the universe has at most EXHAUSTIVE_LIMIT points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, wraps
 from typing import Callable, Iterable
 
 import numpy as np
@@ -43,7 +42,6 @@ import numpy as np
 from .geometry import (
     POINT_TOL,
     Region,
-    as_point,
     as_points,
     corner_region_descriptor,
     lexsorted,
@@ -66,6 +64,7 @@ __all__ = [
     "FAMILY_STRONG",
     "FAMILY_DESCRIPTIVE_STRONG",
     "FeatureMap",
+    "pointwise",
     "DescriptiveSpace",
     "AxiomReport",
     "SpcReport",
@@ -91,14 +90,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Total feature map Phi: point -> R^arity with a component-wise match tolerance.
+    """Feature map Phi: item -> R^arity with a component-wise match tolerance.
 
-    The evaluator maps one point (1-d array) to its arity values; rows runs
-    it per point and checks the (m, arity) table once (geometry.value_table).
+    The evaluator describes a whole batch at once: given k items it returns
+    their (k, arity) table, which rows checks once (geometry.value_table).
+    For a point map the batch is an (m, n) point table; for an object
+    descriptor (borsuk) it is a list of strings, regions, sheets or bare
+    points. Wrap a per-item callable with pointwise. An empty batch has an
+    empty table and the evaluator is not called.
     """
 
     arity: int
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable
     match_tolerance: float = 0.0
     name: str = "custom"
 
@@ -108,14 +111,28 @@ class FeatureMap:
         if not 0 <= self.match_tolerance < np.inf:
             raise ValueError("match tolerance must be finite and nonnegative")
 
-    def __call__(self, p) -> np.ndarray:
-        return self.rows(as_point(p)[None])[0]
+    def __call__(self, x) -> np.ndarray:
+        return self.rows([x])[0]
 
-    def rows(self, points) -> np.ndarray:
-        """Descriptions of the points, one row each: an (m, arity) array."""
-        P = as_points(points)
-        values = [np.atleast_1d(self.evaluator(p)) for p in P]  # a scalar serves arity 1
-        return value_table(values, (len(P), self.arity), f"feature map {self.name!r}")
+    def rows(self, items) -> np.ndarray:
+        """Descriptions of the items, one row each: a (k, arity) array."""
+        if len(items) == 0:
+            return np.empty((0, self.arity))
+        return value_table(self.evaluator(items), (len(items), self.arity), f"feature map {self.name!r}")
+
+
+def pointwise(f: Callable) -> Callable:
+    """Row-wise evaluator from a per-item callable: f applied to each item of a batch.
+
+    A scalar value serves a width-1 row. This is the one place where a map
+    is evaluated item by item.
+    """
+
+    @wraps(f)
+    def rows(items):
+        return [np.atleast_1d(f(x)) for x in items]
+
+    return rows
 
 
 def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:
@@ -129,26 +146,21 @@ def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:
     cfg = dict(config)
     name = cfg.pop("name", None)
     tol = float(cfg.pop("tolerance", 0.0))
-    if name == "coords":
+    if name in ("coords", "even-coords"):
         d = int(cfg.pop("dim", dim or 0))
         if d < 1:
-            raise ValueError("coords feature map needs a dimension")
-        fm = FeatureMap(d, lambda p: p, tol, "coords")
-    elif name == "even-coords":
-        d = int(cfg.pop("dim", dim or 0))
-        if d < 1:
-            raise ValueError("even-coords feature map needs a dimension")
-        fm = FeatureMap(d, lambda p: np.abs(p), tol, "even-coords")
+            raise ValueError(f"{name} feature map needs a dimension")
+        fm = FeatureMap(d, (lambda P: P) if name == "coords" else np.abs, tol, name)
     elif name == "norm":
-        fm = FeatureMap(1, lambda p: np.array([np.linalg.norm(p)]), tol, "norm")
+        fm = FeatureMap(1, lambda P: np.linalg.norm(P, axis=1)[:, None], tol, "norm")
     elif name == "adjacency-count":
         w, h = int(cfg.pop("width")), int(cfg.pop("height"))
         if w < 1 or h < 1:
             raise ValueError("adjacency-count needs positive grid dimensions")
-        fm = FeatureMap(1, lambda p: np.array([corner_region_descriptor(w, h, p)]), tol, "adjacency-count")
+        fm = FeatureMap(1, pointwise(partial(corner_region_descriptor, w, h)), tol, "adjacency-count")
     elif name == "constant":
         value = np.atleast_1d(np.asarray(cfg.pop("value"), dtype=float))
-        fm = FeatureMap(value.size, lambda p, v=value: v, tol, "constant")
+        fm = FeatureMap(value.size, lambda P, v=value: np.tile(v, (len(P), 1)), tol, "constant")
     else:
         raise ValueError(f"unknown feature map name: {name!r}")
     cfg.pop("dim", None)
@@ -442,13 +454,17 @@ def region_union(a: Region, b: Region) -> Region:
 
 
 def map_region(f: Callable[[np.ndarray], np.ndarray], region: Region) -> Region:
-    """Image of a labeled region under a point map.
+    """Image of a labeled region under a row-wise point map.
 
-    Image points are merged within 1e-9; a merged image point is interior
-    only if every preimage in the region is interior (conservative rule, so
-    a map can genuinely destroy interior overlap).
+    f maps the region's (m, n) point table to the (m, n) table of images in
+    one call (wrap a per-point map with pointwise); the images are checked
+    with geometry.value_table. Image points are merged within 1e-9; a
+    merged image point is interior only if every preimage in the region is
+    interior (conservative rule, so a map can genuinely destroy interior
+    overlap).
     """
-    images = np.array([as_point(f(p)) for p in region.points])
+    name = getattr(f, "__name__", type(f).__name__)
+    images = value_table(f(region.points), region.points.shape, f"region map {name!r}")
     return _merged_region(images, region.interior, np.logical_and)
 
 
@@ -476,9 +492,6 @@ class AxiomReport:
             "passed": self.passed,
             "violations": [dict(v) for v in self.violations],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _witness(engine: _MaskEngine, **masks) -> dict:
@@ -721,9 +734,6 @@ class SpcReport:
             "counterexamples": [dict(c) for c in self.counterexamples],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _region_payload(r: Region) -> dict:
     return {
@@ -738,12 +748,14 @@ def spc_check(
     pairs: Iterable[tuple],
     mode: str = "strong",
 ) -> SpcReport:
-    """Check that a point map preserves nearness on the given region pairs.
+    """Check that a row-wise point map preserves nearness on the given region pairs.
 
-    mode selects the relation: "strong" (sn), "descriptive" (dnear), or
-    "descriptive-strong" (snd). For every pair (A, B) that is near, the
-    image pair (f(A), f(B)) must be near as well; failures are reported as
-    counterexamples with both the source and image regions.
+    f takes an (m, n) point table to its (m, n) image table, as in
+    map_region, which checks the images. mode selects the relation:
+    "strong" (sn), "descriptive" (dnear), or "descriptive-strong" (snd).
+    For every pair (A, B) that is near, the image pair (f(A), f(B)) must be
+    near as well; failures are reported as counterexamples with both the
+    source and image regions.
     """
     modes = {
         "strong": lambda a, b: sn(a, b),
@@ -822,13 +834,15 @@ def random_space(seed: int, size: int | None = None, kind: str | None = None) ->
         arity = int(rng.integers(1, 4))
         values = rng.integers(0, 4, size=(m, arity)).astype(float)
         tol = float(rng.choice([0.0, 0.25]))
-        table = {tuple(np.round(p, 9)): values[i] for i, p in enumerate(pts)}
+        keys = np.round(pts, 9)
 
-        def look(p, table=table):
-            key = tuple(np.round(p, 9))
-            if key not in table:
+        def look(P):
+            # universe row i is described by values[i]; any other point is refused
+            P = np.round(np.asarray(P, dtype=float), 9)
+            hit = np.all(P[:, None, :] == keys, axis=2) if P.shape[1] == 2 else np.zeros((len(P), 1), bool)
+            if not hit.any(axis=1).all():
                 raise ValueError("point outside the space's universe")
-            return table[key]
+            return values[np.argmax(hit, axis=1)]
 
         fm = FeatureMap(arity, look, tol, "lattice")
     elif k == "constant":

@@ -90,14 +90,22 @@ def test_criterion_2_nearness_iff_intersection(verdict):
     while total < 10_000:
         sp = random_space(seed=500 + seed)
         tol = sp.features.match_tolerance
+        # independent pairwise oracle: one description table per space,
+        # indexed by universe row (region points are universe rows exactly)
+        table = sp.features.rows(sp.universe)
+
+        def described(r):
+            hit = np.all(r.points[:, None, :] == sp.universe, axis=2)
+            assert hit.any(axis=1).all()
+            return table[hit.argmax(axis=1)]
+
         for a, b in sample_region_pairs(sp, 200, seed=seed):
             inter = descriptive_intersection(a, b, sp.features)
             near = dnear(a, b, sp.features)
             if near == bool(inter.shape[0]):
                 agree += 1
-            # independent pairwise oracle: some a in A and b in B match
-            fa = np.array([sp.features(p) for p in a.points])
-            fb = np.array([sp.features(p) for p in b.points])
+            # some a in A and b in B match
+            fa, fb = described(a), described(b)
             gap = np.max(np.abs(fa[:, None, :] - fb[None, :, :]), axis=2)
             if near == bool(np.any(gap <= tol)):
                 oracle_agree += 1

@@ -9,8 +9,8 @@ from proxitop import (
     BallCheck,
     BallRangeError,
     RefinementBudgetError,
+    FeatureMap,
     Region,
-    RegionDescriptor,
     StringPath,
     Worldsheet,
     but_search,
@@ -18,6 +18,7 @@ from proxitop import (
     feature_descriptor,
     feature_map_from_config,
     fixed_point_search,
+    pointwise,
     shape_descriptor,
     sphere_sample,
     string_shape_features,
@@ -128,7 +129,7 @@ def sheet_of(*members):
 def lookup_descriptor(objects, values, arity):
     """Descriptor that returns values[k] for objects[k] (by identity)."""
     table = {id(o): np.asarray(v, dtype=float) for o, v in zip(objects, values)}
-    return RegionDescriptor(arity, lambda o: table[id(o)], 0.0, "lookup")
+    return FeatureMap(arity, pointwise(lambda o: table[id(o)]), 0.0, "lookup")
 
 
 _LATTICE_VERTS = st.tuples(st.integers(0, 2), st.integers(0, 2))
@@ -252,6 +253,102 @@ def test_empty_and_single_string_searches_are_empty():
         res = but_search(desc, strings=strings, tol=1.0)
         assert res.object_count == len(strings)
         assert res.pairs == () and res.exhaustive
+
+
+# -- descriptors --------------------------------------------------------------
+
+
+def _blend(P):
+    """Row-wise map with inexact values, so sums depend on their order."""
+    return np.stack([P.sum(axis=1) / 3.0, P[:, 0] * P[:, -1] + 0.1], axis=1)
+
+
+_POINT_MAPS = {
+    "coords": lambda d: feature_map_from_config({"name": "coords", "dim": d}),
+    "norm": lambda d: feature_map_from_config({"name": "norm"}),
+    "blend": lambda d: FeatureMap(2, _blend, name="blend"),
+}
+
+
+@st.composite
+def _described_objects(draw):
+    """1-8 objects of one dimension: strings (2-40 vertices), regions, sheets, bare points."""
+    dim = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def string():
+        return StringPath(rng.uniform(-5, 5, (draw(st.integers(2, 40)), dim)))
+
+    objects = []
+    for kind in draw(st.lists(st.sampled_from(["string", "region", "sheet", "point"]), min_size=1, max_size=8)):
+        if kind == "string":
+            objects.append(string())
+        elif kind == "region":
+            objects.append(Region.from_points(rng.uniform(-5, 5, (draw(st.integers(1, 40)), dim))))
+        elif kind == "sheet":
+            objects.append(sheet_of(*[string() for _ in range(draw(st.integers(1, 3)))]))
+        else:
+            objects.append(rng.uniform(-5, 5, dim))
+    return dim, objects
+
+
+def _points_of(obj):
+    if isinstance(obj, StringPath):
+        return obj.vertices
+    if isinstance(obj, Region):
+        return obj.points
+    if isinstance(obj, Worldsheet):
+        return obj.sheet.points
+    return np.asarray(obj, dtype=float)[None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_described_objects(), name=st.sampled_from(sorted(_POINT_MAPS)), reduce=st.sampled_from(["mean", "minmax"]))
+def test_feature_descriptor_rows_equal_per_object_reductions_bit_for_bit(case, name, reduce):
+    dim, objects = case
+    fm = _POINT_MAPS[name](dim)
+    want = []
+    for obj in objects:
+        R = fm.rows(_points_of(obj))
+        want.append(np.mean(R, axis=0) if reduce == "mean" else np.concatenate([R.min(axis=0), R.max(axis=0)]))
+    got = feature_descriptor(fm, reduce).rows(objects)
+    assert got.shape == (len(objects), fm.arity * (1 if reduce == "mean" else 2))
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_feature_descriptor_evaluates_once_per_point_count():
+    seen = []
+
+    def coords(P):
+        seen.append(P.shape)
+        return P
+
+    desc = feature_descriptor(FeatureMap(2, coords, name="seen"), "mean")
+    two = StringPath([[0.0, 0.0], [1.0, 0.0]])
+    three = StringPath([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    got = desc.rows([two, [4.0, 2.0], three, two, np.array([1.0, 1.0])])
+    assert sorted(seen) == [(2, 2), (3, 2), (4, 2)]
+    assert got.tolist() == [[0.5, 0.0], [4.0, 2.0], [2 / 3, 1 / 3], [0.5, 0.0], [1.0, 1.0]]
+
+
+def test_pointwise_stacks_the_per_item_values():
+    items = [np.array([1.0, 2.0]), np.array([-3.0, 0.5]), np.array([0.0, 0.0])]
+    f = lambda p: np.array([p[0] * p[1], p[0] - p[1], 7.0])
+    assert np.array_equal(FeatureMap(3, pointwise(f)).rows(items), np.stack([f(p) for p in items]))
+    assert FeatureMap(1, pointwise(lambda p: p[0])).rows(items).tolist() == [[1.0], [-3.0], [0.0]]
+
+
+def test_but_search_describes_all_objects_in_one_call():
+    batches = []
+
+    def even(P):
+        batches.append(len(P))
+        return np.abs(P)
+
+    g = sphere_sample(1, 32)
+    res = but_search(FeatureMap(2, even, 1e-9, "even"), grid=g)
+    assert batches == [g.size] and len(res.pairs) == 32
+    assert res == but_search(feature_descriptor(even_map(2)), grid=g, tol=1e-9)
 
 
 # -- corner lemma -----------------------------------------------------------

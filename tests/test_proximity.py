@@ -16,6 +16,7 @@ from proxitop import (
     dnear,
     feature_map_from_config,
     map_region,
+    pointwise,
     region_union,
     sample_region_pairs,
     sn,
@@ -83,7 +84,7 @@ def test_feature_rows_equal_per_point_calls_bit_for_bit(case):
     ],
 )
 def test_feature_rows_refuse_bad_values_naming_the_map(arity, evaluator, what):
-    fm = FeatureMap(arity, evaluator, name="probe")
+    fm = FeatureMap(arity, pointwise(evaluator), name="probe")
     with pytest.raises(ValueError, match=f"feature map 'probe' returned .*{what}"):
         fm.rows([[0.0, 0.0], [1.0, 0.0]])
 
@@ -205,12 +206,51 @@ def test_map_region_interior_needs_all_preimages_interior():
         [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], interior=[True, True, False]
     )
     collapse = lambda p: np.array([0.0, 0.0]) if p[0] < 1.5 else np.array([1.0, 0.0])
-    img = map_region(collapse, a)
+    img = map_region(pointwise(collapse), a)
     assert img.size == 2
     k0 = int(np.flatnonzero(np.all(np.isclose(img.points, [0.0, 0.0]), axis=1))[0])
     k1 = int(np.flatnonzero(np.all(np.isclose(img.points, [1.0, 0.0]), axis=1))[0])
     assert bool(img.interior[k0])  # both preimages interior
     assert not bool(img.interior[k1])  # lone preimage is boundary
+
+
+def test_map_region_refuses_ragged_images_naming_the_map():
+    region = Region.from_points([[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match=r"region map '<lambda>' returned ragged .* expected \(2, 2\)"):
+        map_region(pointwise(lambda p: p[:1] if p[0] else p), region)
+
+
+def test_map_region_refuses_non_finite_and_misshapen_images():
+    region = Region.from_points([[0.0, 0.0], [1.0, 0.0]])
+
+    def blow_up(P):
+        return np.where(P > 0, np.inf, P)
+
+    def drop_axis(P):
+        return P[:, :1]
+
+    with pytest.raises(ValueError, match="region map 'blow_up' returned non-finite"):
+        map_region(blow_up, region)
+    with pytest.raises(ValueError, match=r"region map 'drop_axis' returned shape \(2, 1\)"):
+        map_region(drop_axis, region)
+
+
+def test_map_region_applies_a_row_wise_map_to_the_whole_table():
+    calls = []
+
+    def shift(P):
+        calls.append(P.shape)
+        return P + [1.0, 0.0]
+
+    img = map_region(shift, Region.from_points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], interior=[True, False, True]))
+    assert calls == [(3, 2)]
+    assert img.points.tolist() == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+    assert img.interior.tolist() == [True, False, True]
+
+
+def test_feature_map_empty_batch_is_an_empty_table():
+    fm = FeatureMap(3, lambda P: pytest.fail("evaluator called on an empty batch"))
+    assert fm.rows([]).shape == (0, 3)
 
 
 def test_spc_check_reports_broken_pairs():
@@ -225,7 +265,7 @@ def test_spc_check_reports_broken_pairs():
         # send the shared interior point onto a boundary point of a's image
         return np.array([0.0, 0.0]) if p[0] == 1.0 else np.asarray(p, dtype=float)
 
-    rep = spc_check(sp, squash, [(a, b)], mode="strong")
+    rep = spc_check(sp, pointwise(squash), [(a, b)], mode="strong")
     assert rep.pairs_checked == 1
     assert rep.near_pairs == 1
     assert not rep.preserved
@@ -242,7 +282,7 @@ def test_spc_check_descriptive_mode():
     b = sp.region([8])
     # reflection keeps the adjacency descriptor, so nearness survives
     reflect = lambda p: np.array([2.0 - p[0], 2.0 - p[1]])
-    rep = spc_check(sp, reflect, [(a, b)], mode="descriptive")
+    rep = spc_check(sp, pointwise(reflect), [(a, b)], mode="descriptive")
     assert rep.preserved and rep.near_pairs == 1
 
 
