@@ -223,9 +223,9 @@ def _cmd_surface_torus(ns) -> int:
 
 def _trace_xz(path) -> np.ndarray:
     trace = load_trace_csv(path)
-    if not trace:
+    if trace.shape[0] == 0:
         raise ValueError("trace has no samples")
-    return np.array([[rec.x, rec.z] for rec in trace])
+    return trace[:, 1:]
 
 
 def _cmd_eeg_lift(ns) -> int:

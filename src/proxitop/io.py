@@ -10,24 +10,35 @@ Formats are deliberately rigid so runs are reproducible byte for byte:
 * reports: JSON with a schema_version field and sorted keys, no
   timestamps, so identical inputs give identical bytes.
 
-Loader errors carry 1-based line numbers.
+Tables are read and written whole: a CSV body is parsed by one numpy call
+into a checked float array, and OBJ lines are formatted in blocks of
+``_OBJ_BLOCK`` rows by one ``%`` template each. The line-by-line CSV loop
+runs only when the bulk parse refuses a body, to name the first bad line
+and column; loader errors carry 1-based line numbers.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 SCHEMA_VERSION = "1"
 
+# Rows per OBJ formatting template: one template over a whole 320k-row mesh
+# would build a tuple of about 30 MB.
+_OBJ_BLOCK = 4096
+
+# ASCII separators numpy strips around a number like whitespace but float()
+# refuses; a body holding one goes to the line loop.
+_FLOAT_REFUSED_SPACE = "\x1c\x1d\x1e\x1f"
+
 __all__ = [
     "SCHEMA_VERSION",
-    "TraceRecord",
     "MeshDocument",
     "ReportDocument",
     "load_trace_csv",
@@ -37,12 +48,6 @@ __all__ = [
     "export_mesh",
     "file_digest",
 ]
-
-
-class TraceRecord(NamedTuple):
-    t: float
-    x: float
-    z: float
 
 
 def _parse_float(raw: str, line: int, col: str) -> float:
@@ -55,27 +60,69 @@ def _parse_float(raw: str, line: int, col: str) -> float:
     return v
 
 
-def load_trace_csv(path) -> list:
-    """Read an EEG trace CSV: header t,x,z then samples with increasing t."""
+def _open_table(path) -> tuple:
+    """Read a CSV file once: (header row or None, reader over the body rows, body lines)."""
     with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["t", "x", "z"]:
-        raise ValueError("line 1: trace header must be exactly 't,x,z'")
-    out: list[TraceRecord] = []
-    prev_t = None
-    for k, row in enumerate(rows[1:], start=2):
+        lines = io.StringIO(fh.read(), newline="").readlines()
+    rows = csv.reader(lines)
+    header = next(rows, None)
+    return header, rows, lines[rows.line_num :]
+
+
+def _parse_rows(rows, names: list, increasing: bool) -> np.ndarray:
+    """The line-by-line parse; it exists only to name the first bad line and column."""
+    out = []
+    for k, row in enumerate(rows, start=2):
         if not row:
             continue
-        if len(row) != 3:
-            raise ValueError(f"line {k}: expected 3 columns, got {len(row)}")
-        t = _parse_float(row[0], k, "t")
-        x = _parse_float(row[1], k, "x")
-        z = _parse_float(row[2], k, "z")
-        if prev_t is not None and t <= prev_t:
-            raise ValueError(f"line {k}: t must increase strictly ({t} after {prev_t})")
-        prev_t = t
-        out.append(TraceRecord(t, x, z))
-    return out
+        if len(row) != len(names):
+            raise ValueError(f"line {k}: expected {len(names)} columns, got {len(row)}")
+        vals = [_parse_float(c, k, name) for c, name in zip(row, names)]
+        if increasing and out and vals[0] <= out[-1][0]:
+            raise ValueError(
+                f"line {k}: {names[0]} must increase strictly ({vals[0]} after {out[-1][0]})"
+            )
+        out.append(vals)
+    return np.array(out, dtype=float).reshape(-1, len(names))
+
+
+def _parse_table(rows, body: list, names: list, increasing: bool) -> np.ndarray:
+    """Parse a CSV body into an (m, len(names)) float array.
+
+    One ``np.loadtxt`` call parses the whole body; its result is accepted
+    only with the expected width, all values finite and, if ``increasing``,
+    a strictly increasing first column. Anything else goes to the line loop,
+    which gives the result or the error the loader has always given: it
+    still accepts what numpy does not parse (quoted fields, ``1_000``) and
+    names the first bad line otherwise.
+    """
+    text = "".join(body)
+    if text.strip() and not any(c in text for c in _FLOAT_REFUSED_SPACE):
+        try:
+            a = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            a = None
+        if (
+            a is not None
+            and a.shape[1] == len(names)
+            and np.isfinite(a).all()
+            and (not increasing or (a[1:, 0] > a[:-1, 0]).all())
+        ):
+            return a
+    return _parse_rows(rows, names, increasing)
+
+
+def load_trace_csv(path) -> np.ndarray:
+    """Read an EEG trace CSV: header t,x,z then samples with increasing t.
+
+    Returns the checked (m, 3) float array of (t, x, z) rows; m is 0 for a
+    header-only file. The body is parsed in one numpy call; the line loop
+    runs only to name the first bad line and column in the error.
+    """
+    header, rows, body = _open_table(path)
+    if header is None or [c.strip() for c in header] != ["t", "x", "z"]:
+        raise ValueError("line 1: trace header must be exactly 't,x,z'")
+    return _parse_table(rows, body, ["t", "x", "z"], increasing=True)
 
 
 def _write_rows(path, header: list, a: np.ndarray) -> None:
@@ -94,25 +141,19 @@ def save_curve_csv(path, points) -> None:
 
 
 def load_points_csv(path) -> np.ndarray:
-    """Read a point set CSV with header x1,...,xn; returns an (m, n) array."""
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    """Read a point set CSV with header x1,...,xn; returns the checked (m, n) array.
+
+    m is 0 for a header-only file. The body is parsed in one numpy call;
+    the line loop runs only to name the first bad line and column.
+    """
+    header, rows, body = _open_table(path)
+    if header is None:
         raise ValueError("line 1: empty file, expected a header x1,...,xn")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in header]
     n = len(header)
     if n == 0 or header != [f"x{i+1}" for i in range(n)]:
         raise ValueError("line 1: point header must be x1,...,xn")
-    pts = []
-    for k, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != n:
-            raise ValueError(f"line {k}: expected {n} columns, got {len(row)}")
-        pts.append([_parse_float(c, k, header[i]) for i, c in enumerate(row)])
-    if not pts:
-        return np.empty((0, n))
-    return np.array(pts)
+    return _parse_table(rows, body, header, increasing=False)
 
 
 def save_points_csv(path, points) -> None:
@@ -131,11 +172,16 @@ class MeshDocument:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        f = np.asarray(self.faces, dtype=int)
+        f = np.asarray(self.faces)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] == 0:
             raise ValueError("mesh vertices must be a nonempty (m, 3) array")
         if not np.all(np.isfinite(v)):
             raise ValueError("mesh vertices must be finite")
+        integral = np.issubdtype(f.dtype, np.integer) or (
+            np.issubdtype(f.dtype, np.floating) and np.isfinite(f).all() and (f == np.floor(f)).all()
+        )
+        if not integral:
+            raise ValueError("mesh faces must be integer indices")
         if f.size == 0:
             f = f.reshape(0, 4)
         if f.ndim != 2 or f.shape[1] != 4:
@@ -143,18 +189,25 @@ class MeshDocument:
         if f.size and (f.min() < 0 or f.max() >= v.shape[0]):
             raise ValueError("mesh face indices out of range")
         object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "faces", f)
+        object.__setattr__(self, "faces", f.astype(int, copy=False))
 
 
 def export_mesh(mesh: MeshDocument, path) -> None:
-    """Write a quad mesh as OBJ: 9-significant-digit v lines, 1-based f lines."""
+    """Write a quad mesh as OBJ: 9-significant-digit v lines, 1-based f lines.
+
+    Lines are formatted ``_OBJ_BLOCK`` rows at a time by one ``%`` template
+    over the block's values; ``"%.9g" % x`` is the same string as
+    ``f"{x:.9g}"`` for every finite double.
+    """
     if mesh.vertices.shape[0] == 0 or mesh.faces.shape[0] == 0:
         raise ValueError("refusing to export an empty mesh")
     with open(path, "w", newline="\n") as fh:
-        for p in mesh.vertices:
-            fh.write(f"v {p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0]+1} {f[1]+1} {f[2]+1} {f[3]+1}\n")
+        for i in range(0, mesh.vertices.shape[0], _OBJ_BLOCK):
+            block = mesh.vertices[i : i + _OBJ_BLOCK]
+            fh.write(("v %.9g %.9g %.9g\n" * block.shape[0]) % tuple(block.ravel().tolist()))
+        for i in range(0, mesh.faces.shape[0], _OBJ_BLOCK):
+            block = mesh.faces[i : i + _OBJ_BLOCK] + 1
+            fh.write(("f %d %d %d %d\n" * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,16 @@ def test_eeg_lift_missing_file(capsys, tmp_path):
     assert rc == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("sub", [["lift"], ["torus", "--c", "2", "--r", "1"]])
+def test_eeg_header_only_trace_has_no_samples(capsys, tmp_path, sub):
+    p = tmp_path / "empty.csv"
+    p.write_text("t,x,z\n")
+    rc = run_command(["eeg", *sub, "--in", str(p), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: trace has no samples\n"
+
+
 def test_fixedpoint_builtins(capsys):
     doc = run_json(capsys, ["fixedpoint", "--map", "cos", "--tol", "1e-9"])
     assert abs(doc["results"]["point"][0] - 0.7390851332) <= 1e-6
