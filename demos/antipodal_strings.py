@@ -24,11 +24,10 @@ print(f"{len(arcs)} arcs of 4 samples each")
 even = feature_map_from_config({"name": "even-coords", "dim": 2, "tolerance": 1e-9})
 descriptor = feature_descriptor(even, "mean")
 
-result = but_search(descriptor, strings=arcs, tol=1e-9)
+result = but_search(descriptor, strings=arcs)
 for pair in result.pairs:
     print(f"arc {pair.a:2d} <-> arc {pair.b:2d}  distance {pair.distance:.2e}")
 
 # an odd descriptor (raw coordinate mean) sees no matches: negation flips it
-odd = feature_map_from_config({"name": "coords", "dim": 2})
-print("odd descriptor pairs:", len(but_search(feature_descriptor(odd, "mean"),
-                                              strings=arcs, tol=1e-9).pairs))
+odd = feature_map_from_config({"name": "coords", "dim": 2, "tolerance": 1e-9})
+print("odd descriptor pairs:", len(but_search(feature_descriptor(odd, "mean"), strings=arcs).pairs))

@@ -70,9 +70,7 @@ def _object_points(obj) -> np.ndarray:
     return as_point(obj)[None]
 
 
-def feature_descriptor(
-    features: FeatureMap, reduce: str = "mean", match_tolerance: float | None = None
-) -> FeatureMap:
+def feature_descriptor(features: FeatureMap, reduce: str = "mean") -> FeatureMap:
     """Lift a point feature map to a descriptor of whole objects.
 
     The descriptor is a FeatureMap whose batch is a list of strings,
@@ -80,11 +78,12 @@ def feature_descriptor(
     Objects with equal point count and dimension are described together by
     one features.rows call, and each object's rows are reduced: "mean"
     averages them (arity k), "minmax" concatenates the feature-wise minimum
-    and maximum (arity 2k). Both reductions ignore point order.
+    and maximum (arity 2k). Both reductions ignore point order. The
+    descriptor keeps the feature map's match tolerance; for another one,
+    build the feature map with it or use dataclasses.replace on the result.
     """
     if reduce not in ("mean", "minmax"):
         raise ValueError(f"unknown reduction: {reduce!r}")
-    tol = features.match_tolerance if match_tolerance is None else float(match_tolerance)
     width = features.arity * (1 if reduce == "mean" else 2)
 
     def describe(objects):
@@ -99,7 +98,7 @@ def feature_descriptor(
             out[idx] = R.mean(axis=1) if reduce == "mean" else np.hstack([R.min(axis=1), R.max(axis=1)])
         return out
 
-    return FeatureMap(width, describe, tol, f"{reduce}-{features.name}")
+    return FeatureMap(width, describe, features.match_tolerance, f"{reduce}-{features.name}")
 
 
 def shape_descriptor(match_tolerance: float = 0.0) -> FeatureMap:
@@ -177,7 +176,6 @@ def but_search(
     grid: SphereGrid | None = None,
     strings: list | None = None,
     sheets: list | None = None,
-    tol: float | None = None,
 ) -> ButResult:
     """Find antipodal object pairs with matching descriptors, exhaustively.
 
@@ -185,21 +183,19 @@ def but_search(
     antipodal pairs are the grid's own sample pairings; for strings,
     antipodality is a nonempty vertex-set symmetric difference; for
     worldsheets, some disjoint pair of member strings. A pair is kept when
-    it is antipodal and its descriptor distance (max-norm) is at most tol
-    (default: the descriptor's own tolerance). The result equals that of
-    enumerating every pair; for strings and worldsheets the descriptor
-    match is found first and the antipodality predicate runs only on the
-    matched pairs. Pairs are reported in canonical (a, b) index order with
-    a < b. One descriptor.rows call describes every object; for a grid the
-    batch is the (m, n) sample table.
+    it is antipodal and its descriptor distance (max-norm) is at most the
+    descriptor's match tolerance, the one tolerance of the search. The
+    result equals that of enumerating every pair; for strings and
+    worldsheets the descriptor match is found first and the antipodality
+    predicate runs only on the matched pairs. Pairs are reported in
+    canonical (a, b) index order with a < b. One descriptor.rows call
+    describes every object; for a grid the batch is the (m, n) sample table.
     """
     sources = [s for s in ((grid, "points"), (strings, "strings"), (sheets, "sheets")) if s[0] is not None]
     if len(sources) != 1:
         raise ValueError("exactly one of grid, strings, or sheets is required")
     source, mode = sources[0]
-    limit = descriptor.match_tolerance if tol is None else float(tol)
-    if not 0 <= limit < np.inf:
-        raise ValueError("tolerance must be finite and nonnegative")
+    limit = descriptor.match_tolerance
 
     if mode == "points":
         objects = source.samples

@@ -165,16 +165,16 @@ def _cmd_but_search(ns) -> int:
         {"name": ns.descriptor, "dim": n + 1, "tolerance": ns.tol}
     )
     if ns.mode == "points":
-        result = borsuk.but_search(borsuk.feature_descriptor(fm), grid=grid, tol=ns.tol)
+        result = borsuk.but_search(borsuk.feature_descriptor(fm), grid=grid)
     else:
         if n != 1:
             raise ValueError(f"{ns.mode} mode builds circle arcs and needs n=1")
         arcs = geometry.arc_strings(grid)
         desc = borsuk.feature_descriptor(fm, "mean")
         if ns.mode == "strings":
-            result = borsuk.but_search(desc, strings=arcs, tol=ns.tol)
+            result = borsuk.but_search(desc, strings=arcs)
         else:
-            result = borsuk.but_search(desc, sheets=geometry.arc_sheets(arcs), tol=ns.tol)
+            result = borsuk.but_search(desc, sheets=geometry.arc_sheets(arcs))
     doc = ReportDocument(
         command="but search",
         parameters={

@@ -412,6 +412,8 @@ def _segment_distances(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     sums over the 2x2 minors (Lagrange and Binet-Cauchy identities), which do
     not cancel for nearly parallel segments as the products of dot products do.
     """
+    if S.shape[-1] != T.shape[-1]:
+        raise ValueError(f"cannot measure between dimensions {S.shape[-1]} and {T.shape[-1]}")
     p1, d1 = S[:, None, 0], S[:, None, -1] - S[:, None, 0]
     p2, d2 = T[None, :, 0], T[None, :, -1] - T[None, :, 0]
     r = p1 - p2

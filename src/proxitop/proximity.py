@@ -19,13 +19,18 @@ not apply that clause.
 One kernel decides all three relations. It numbers a list of points, writes
 subsets as int bit masks, and keeps two tables of bit rows: which points are
 the same point (within POINT_TOL) and which descriptions match (within tau).
-The public relations build it over the points of A followed by those of B;
-check_axioms builds it once over a space's universe, whose points must be
-distinct, and evaluates every draw on it.
+sn and snd are one method over these sameness rows: point identity for sn,
+description matching for snd. The public relations build the kernel over
+the points of A followed by those of B; check_axioms builds it once over a
+space's universe, whose points must be distinct, and evaluates every draw
+on it.
 
 check_axioms stress-tests the relations: it samples labeled subregions of a
 space with a seeded generator and asserts every axiom of the requested
-family, reporting violations with witnesses. Universal-premise axioms that
+family, reporting violations with witnesses. Like the kernel, the strong and
+descriptive-strong families share one trial loop over the family's sameness
+rows; on a universe the point-identity rows are the identity, so each strong
+axiom reads as its textbook form. Universal-premise axioms that
 need exhaustive quantification (the descriptive transitivity and
 point-equality axioms) are additionally verified over every subset pair or
 triple when the universe has at most EXHAUSTIVE_LIMIT points.
@@ -262,6 +267,11 @@ def _bits(flags) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def _members(mask: int) -> list:
+    """The set bits of mask, ascending: the indices of the points it names."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _meets(rows: list, A: int, B: int) -> bool:
     """Some x in A has a row that meets B (rows must be reflexive)."""
     if A & B:
@@ -323,15 +333,11 @@ class _MaskEngine:
             return bool(rows[B.bit_length() - 1] & iA)
         return _meets(rows, iA, iB)
 
-    def match(self, x: int, y: int) -> bool:
-        return bool(self.match_rows[x] & (1 << y))
-
     def region(self, mask: int, imask: int) -> Region | None:
         if mask == 0:
             return None
-        idx = [i for i in range(self.m) if mask & (1 << i)]
-        flags = [bool(imask & (1 << i)) for i in idx]
-        return Region(self.points[idx], np.array(flags, dtype=bool))
+        idx = _members(mask)
+        return Region(self.points[idx], np.array([imask >> i & 1 for i in idx], dtype=bool))
 
 
 def _pair(a: Region, b: Region, features: FeatureMap | None = None) -> tuple:
@@ -339,8 +345,7 @@ def _pair(a: Region, b: Region, features: FeatureMap | None = None) -> tuple:
 
     Returns (engine, A, iA, B, iB) with both regions as bit masks.
     """
-    if a.dimension != b.dimension:
-        raise ValueError("regions must share a dimension")
+    _same_dimension(a, b)
     pts = np.concatenate([a.points, b.points])
     match = None
     if features is not None:
@@ -350,6 +355,12 @@ def _pair(a: Region, b: Region, features: FeatureMap | None = None) -> tuple:
     A = (1 << a.size) - 1
     interior = _bits(np.concatenate([a.interior, b.interior]))
     return eng, A, interior & A, eng.full ^ A, interior & ~A
+
+
+def _same_dimension(*regions) -> None:
+    """Refuse regions of different dimensions; None (no universe) is skipped."""
+    if len({r.dimension for r in regions if r is not None}) > 1:
+        raise ValueError("regions must share a dimension")
 
 
 def _whole_space(r: Region, universe: Region | None) -> bool:
@@ -408,6 +419,7 @@ def sn(a: Region, b: Region, universe: Region | None = None) -> bool:
     strongly near every nonempty region; the whole space is open, so this
     outranks the singleton conventions.
     """
+    _same_dimension(a, b, universe)
     if _whole_space(a, universe) or _whole_space(b, universe):
         return True
     eng, A, iA, B, iB = _pair(a, b)
@@ -428,6 +440,7 @@ def snd(
     iff their descriptions match. The optional universe clause works as in
     sn.
     """
+    _same_dimension(a, b, universe)
     if _whole_space(a, universe) or _whole_space(b, universe):
         return True
     eng, A, iA, B, iB = _pair(a, b, features)
@@ -446,8 +459,7 @@ def _merged_region(points: np.ndarray, flags: np.ndarray, combine) -> Region:
 
 def region_union(a: Region, b: Region) -> Region:
     """Union of labeled regions; a merged point is interior if either copy is."""
-    if a.dimension != b.dimension:
-        raise ValueError("regions must share a dimension")
+    _same_dimension(a, b)
     pts = np.concatenate([a.points, b.points])
     flags = np.concatenate([a.interior, b.interior])
     return _merged_region(pts, flags, np.logical_or)
@@ -494,15 +506,11 @@ class AxiomReport:
         }
 
 
-def _witness(engine: _MaskEngine, **masks) -> dict:
+def _witness(**masks) -> dict:
     out = {}
     for k, v in masks.items():
         if isinstance(v, tuple):
-            mask, imask = v
-            out[k] = {
-                "points": [i for i in range(engine.m) if mask & (1 << i)],
-                "interior": [i for i in range(engine.m) if imask & (1 << i)],
-            }
+            out[k] = {"points": _members(v[0]), "interior": _members(v[1])}
         else:
             out[k] = int(v)
     return out
@@ -547,8 +555,11 @@ def check_axioms(
     and singleton cases) and asserts each axiom on them; for the
     Lodato-descriptive family on universes of at most EXHAUSTIVE_LIMIT
     points, the union, transitivity, and point-equality axioms are also
-    verified exhaustively over all subset pairs and triples. Violations are
-    reported in draw order with witnesses.
+    verified exhaustively over all subset pairs and triples. The strong and
+    descriptive-strong families run one trial loop over the family's
+    sameness rows (point identity, description matching); only the strong
+    family has the union axiom. Violations are reported in draw order with
+    witnesses.
 
     `relation` optionally replaces the implemented relation of the family
     (for deliberately broken variants); it receives Region arguments, or
@@ -564,7 +575,7 @@ def check_axioms(
     bad: list[dict] = []
 
     def flag(axiom, trial, **masks):
-        w = _witness(eng, **masks)
+        w = _witness(**masks)
         w.update(axiom=axiom, trial=trial)
         bad.append(w)
 
@@ -589,16 +600,16 @@ def check_axioms(
             ):
                 if not near(A, C):
                     flag("dP4", t, a=(A, A), b=(B, B), c=(C, C))
-            if near(1 << x, 1 << y) and not eng.match(x, y):
+            if near(1 << x, 1 << y) and not eng.match_rows[x] >> y & 1:
                 flag("dP5", t, x=x, y=y)
         if m <= EXHAUSTIVE_LIMIT and trials > 0:
             _exhaustive_descriptive(eng, near, bad)
     elif family == FAMILY_STRONG:
         rel = eng.sn if relation is None else _relation_adapter(eng, relation, family)
-        _strong_family_trials(eng, rel, rng, trials, flag, descriptive=False)
+        _strong_family_trials(eng, rel, eng.same_rows, "snN", rng, trials, flag)
     else:
         rel = eng.snd if relation is None else _relation_adapter(eng, relation, family)
-        _strong_family_trials(eng, rel, rng, trials, flag, descriptive=True)
+        _strong_family_trials(eng, rel, eng.match_rows, "dsnP", rng, trials, flag)
 
     return AxiomReport(family, trials, tuple(bad))
 
@@ -635,29 +646,23 @@ def _exhaustive_descriptive(eng: _MaskEngine, near, bad: list):
     # dP5 over all point pairs
     for x in range(m):
         for y in range(m):
-            if dn[1 << x][1 << y] and not eng.match(x, y):
+            if dn[1 << x][1 << y] and not eng.match_rows[x] >> y & 1:
                 bad.append(
                     dict(axiom="dP5", trial=None, phase="exhaustive", x=x, y=y)
                 )
                 return
 
 
-def _strong_family_trials(eng, rel, rng, trials, flag, descriptive: bool):
+def _strong_family_trials(eng, rel, same, prefix, rng, trials, flag):
     """Shared trial loop for the strong and descriptive-strong families.
 
-    Axiom ids are snN* or dsnP* depending on the flavor; the descriptive
-    flavor swaps point identity for description matching in the singleton
-    axioms and has no counterpart of the union axiom beyond the shared one.
+    same is the family's sameness rows, as in _MaskEngine._strong:
+    eng.same_rows (point identity, axiom ids snN*) or eng.match_rows
+    (description matching, ids dsnP*). The union axiom n3 has no
+    descriptive counterpart, so only the strong family checks it.
     """
     m = eng.m
     full = eng.full
-    names = (
-        {"n0": "dsnP0", "n1": "dsnP1", "n2": "dsnP2", "n3": None,
-         "n4": "dsnP4", "n5": "dsnP5", "n6": "dsnP6"}
-        if descriptive
-        else {"n0": "snN0", "n1": "snN1", "n2": "snN2", "n3": "snN3",
-              "n4": "snN4", "n5": "snN5", "n6": "snN6"}
-    )
     for t in range(trials):
         A, iA = _sample_labeled(rng, m)
         B, iB = _sample_labeled(rng, m)
@@ -666,18 +671,14 @@ def _strong_family_trials(eng, rel, rng, trials, flag, descriptive: bool):
         # n0: the empty set is far from everything; the whole space is near
         # every nonempty region
         if rel(0, 0, A, iA) or rel(A, iA, 0, 0):
-            flag(names["n0"], t, a=(A, iA))
+            flag(prefix + "0", t, a=(A, iA))
         if A and not rel(full, full, A, iA):
-            flag(names["n0"], t, a=(A, iA))
+            flag(prefix + "0", t, a=(A, iA))
         if rel(A, iA, B, iB) != rel(B, iB, A, iA):
-            flag(names["n1"], t, a=(A, iA), b=(B, iB))
-        if descriptive:
-            if rel(A, iA, B, iB) and not eng.dnear(A, B):
-                flag(names["n2"], t, a=(A, iA), b=(B, iB))
-        else:
-            if rel(A, iA, B, iB) and not (A & B):
-                flag(names["n2"], t, a=(A, iA), b=(B, iB))
-        if not descriptive:
+            flag(prefix + "1", t, a=(A, iA), b=(B, iB))
+        if rel(A, iA, B, iB) and not _meets(same, A, B):
+            flag(prefix + "2", t, a=(A, iA), b=(B, iB))
+        if same is eng.same_rows:
             # n3: nearness to one member with nonempty interior extends to
             # the union of the family
             k = int(rng.integers(2, 4))
@@ -689,23 +690,13 @@ def _strong_family_trials(eng, rel, rng, trials, flag, descriptive: bool):
                 UiB |= iBm
             hit = any(iBm and rel(A, iA, Bm, iBm) for Bm, iBm in fam)
             if hit and not rel(A, iA, UB, UiB):
-                flag(names["n3"], t, a=(A, iA), union=(UB, UiB))
-        if descriptive:
-            if eng.dnear(iA, iB) and not rel(A, iA, B, iB):
-                flag(names["n4"], t, a=(A, iA), b=(B, iB))
-        else:
-            if (iA & iB) and not rel(A, iA, B, iB):
-                flag(names["n4"], t, a=(A, iA), b=(B, iB))
-        if descriptive:
-            if A and (eng.match_rows[x] & iA) and not rel(1 << x, 1 << x, A, iA):
-                flag(names["n5"], t, x=x, a=(A, iA))
-        else:
-            if (iA & (1 << x)) and not rel(1 << x, 1 << x, A, iA):
-                flag(names["n5"], t, x=x, a=(A, iA))
-        got = rel(1 << x, 1 << x, 1 << y, 1 << y)
-        want = eng.match(x, y) if descriptive else (x == y)
-        if got != want:
-            flag(names["n6"], t, x=x, y=y)
+                flag(prefix + "3", t, a=(A, iA), union=(UB, UiB))
+        if _meets(same, iA, iB) and not rel(A, iA, B, iB):
+            flag(prefix + "4", t, a=(A, iA), b=(B, iB))
+        if same[x] & iA and not rel(1 << x, 1 << x, A, iA):
+            flag(prefix + "5", t, x=x, a=(A, iA))
+        if rel(1 << x, 1 << x, 1 << y, 1 << y) != bool(same[x] >> y & 1):
+            flag(prefix + "6", t, x=x, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -791,21 +782,13 @@ def sample_region_pairs(
 ) -> list[tuple]:
     """Seeded nonempty labeled region pairs from a space, for checks and demos."""
     rng = np.random.default_rng(seed)
-    m = space.size
+    eng = _MaskEngine(space.universe)
     out = []
     while len(out) < count:
-        A, iA = _sample_labeled(rng, m)
-        B, iB = _sample_labeled(rng, m)
-        if A == 0 or B == 0:
-            continue
-        idx_a = [i for i in range(m) if A & (1 << i)]
-        idx_b = [i for i in range(m) if B & (1 << i)]
-        out.append(
-            (
-                space.region(idx_a, [i for i in idx_a if iA & (1 << i)]),
-                space.region(idx_b, [i for i in idx_b if iB & (1 << i)]),
-            )
-        )
+        A, iA = _sample_labeled(rng, eng.m)
+        B, iB = _sample_labeled(rng, eng.m)
+        if A and B:
+            out.append((eng.region(A, iA), eng.region(B, iB)))
     return out
 
 

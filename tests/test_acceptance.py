@@ -126,7 +126,7 @@ def test_criterion_3_circle_strings_antipodal_search(verdict):
     fm = feature_map_from_config({"name": "even-coords", "dim": 2, "tolerance": 1e-9})
     desc = feature_descriptor(fm, "mean")
     start = time.perf_counter()
-    res = but_search(desc, strings=arcs, tol=1e-9)
+    res = but_search(desc, strings=arcs)
     elapsed = time.perf_counter() - start
     got = [(p.a, p.b) for p in res.pairs]
     oracle = []

@@ -1,5 +1,7 @@
 """Antipodal descriptor search, corner lemma, fixed points, wired friend."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,8 +41,8 @@ def even_map(dim, tol=1e-9):
 
 def test_points_mode_odd_descriptor_finds_nothing():
     g = sphere_sample(1, 32)
-    fm = feature_map_from_config({"name": "coords", "dim": 2})
-    res = but_search(feature_descriptor(fm), grid=g, tol=1e-9)
+    fm = feature_map_from_config({"name": "coords", "dim": 2, "tolerance": 1e-9})
+    res = but_search(feature_descriptor(fm), grid=g)
     assert res.mode == "points"
     assert res.object_count == 64
     assert len(res.pairs) == 0
@@ -48,7 +50,7 @@ def test_points_mode_odd_descriptor_finds_nothing():
 
 def test_points_mode_even_descriptor_matches_every_antipode():
     g = sphere_sample(1, 32)
-    res = but_search(feature_descriptor(even_map(2)), grid=g, tol=1e-9)
+    res = but_search(feature_descriptor(even_map(2)), grid=g)
     assert len(res.pairs) == 32
     for p in res.pairs:
         assert p.distance == pytest.approx(0.0, abs=1e-12)
@@ -58,7 +60,7 @@ def test_points_mode_even_descriptor_matches_every_antipode():
 def test_points_mode_agrees_with_double_loop_oracle():
     g = sphere_sample(2, 20)
     desc = feature_descriptor(even_map(3, tol=1e-6))
-    res = but_search(desc, grid=g, tol=1e-6)
+    res = but_search(desc, grid=g)
     want = []
     for i, j in g.antipodal_pairs():
         va = desc(g.samples[i])
@@ -92,7 +94,7 @@ def test_strings_mode_antipodal_arcs_match():
     g, arcs = arc_strings(32)
     assert len(arcs) == 16
     desc = feature_descriptor(even_map(2), "mean")
-    res = but_search(desc, strings=arcs, tol=1e-9)
+    res = but_search(desc, strings=arcs)
     assert res.mode == "strings"
     # arcs come in antipodal pairs shifted by half the list
     assert [(p.a, p.b) for p in res.pairs] == [(i, i + 8) for i in range(8)]
@@ -103,7 +105,7 @@ def test_strings_mode_antipodal_arcs_match():
 def test_strings_mode_matches_brute_force():
     g, arcs = arc_strings(24)
     desc = feature_descriptor(even_map(2, tol=1e-3), "minmax")
-    res = but_search(desc, strings=arcs, tol=1e-3)
+    res = but_search(desc, strings=arcs)
     want = []
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
@@ -118,7 +120,7 @@ def test_shape_descriptor_on_congruent_strings():
     a = StringPath([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     b = StringPath([[5.0, 5.0], [5.0, 4.0], [6.0, 4.0]])  # rotated copy
     c = StringPath([[0.0, 0.0], [2.0, 0.0]])
-    res = but_search(desc, strings=[a, b, c], tol=1e-9)
+    res = but_search(desc, strings=[a, b, c])
     assert [(p.a, p.b) for p in res.pairs] == [(0, 1)]
 
 
@@ -189,7 +191,7 @@ def _vertex_sets_differ(a, b):
 @given(case=_search_case())
 def test_string_and_sheet_search_match_brute_force(case):
     mode, objects, values, arity, tol = case
-    desc = lookup_descriptor(objects, values, arity)
+    desc = dataclasses.replace(lookup_descriptor(objects, values, arity), match_tolerance=tol)
     pred = _vertex_sets_differ if mode == "strings" else worldsheets_antipodal
     want = []
     for a in range(len(objects)):
@@ -198,7 +200,7 @@ def test_string_and_sheet_search_match_brute_force(case):
             d = float(np.max(np.abs(va - vb)))
             if d <= tol and pred(objects[a], objects[b]):
                 want.append((a, b, tuple(float(x) for x in va), d))
-    res = but_search(desc, tol=tol, **{mode: objects})
+    res = but_search(desc, **{mode: objects})
     assert res.mode == mode and res.object_count == len(objects) and res.exhaustive
     assert [tuple(p) for p in res.pairs] == want
 
@@ -209,7 +211,7 @@ def test_predicate_runs_only_on_descriptor_matched_pairs(monkeypatch, mode):
     objects = arcs if mode == "strings" else [sheet_of(a, b) for a, b in zip(arcs[::2], arcs[1::2])]
     name = "strings_antipodal" if mode == "strings" else "worldsheets_antipodal"
     desc = feature_descriptor(even_map(2), "mean")
-    expected = borsuk.but_search(desc, tol=1e-9, **{mode: objects})
+    expected = borsuk.but_search(desc, **{mode: objects})
     index = {id(o): k for k, o in enumerate(objects)}
     calls = []
     original = getattr(borsuk, name)
@@ -219,7 +221,7 @@ def test_predicate_runs_only_on_descriptor_matched_pairs(monkeypatch, mode):
         return original(a, b)
 
     monkeypatch.setattr(borsuk, name, counting)
-    res = borsuk.but_search(desc, tol=1e-9, **{mode: objects})
+    res = borsuk.but_search(desc, **{mode: objects})
     matched = [
         (a, b)
         for a in range(len(objects))
@@ -248,9 +250,9 @@ def test_mixed_dimension_sheets_rejected():
 
 
 def test_empty_and_single_string_searches_are_empty():
-    desc = feature_descriptor(even_map(2), "mean")
+    desc = dataclasses.replace(feature_descriptor(even_map(2), "mean"), match_tolerance=1.0)
     for strings in ([], [StringPath([[0.0, 0.0], [1.0, 0.0]])]):
-        res = but_search(desc, strings=strings, tol=1.0)
+        res = but_search(desc, strings=strings)
         assert res.object_count == len(strings)
         assert res.pairs == () and res.exhaustive
 
@@ -348,7 +350,7 @@ def test_but_search_describes_all_objects_in_one_call():
     g = sphere_sample(1, 32)
     res = but_search(FeatureMap(2, even, 1e-9, "even"), grid=g)
     assert batches == [g.size] and len(res.pairs) == 32
-    assert res == but_search(feature_descriptor(even_map(2)), grid=g, tol=1e-9)
+    assert res == but_search(feature_descriptor(even_map(2)), grid=g)
 
 
 # -- corner lemma -----------------------------------------------------------

@@ -188,6 +188,33 @@ def test_nearly_parallel_crossing_segments_meet():
     assert not worldsheets_antipodal(ws_a, ws_b)
 
 
+_FLAT = StringPath([[0.0, 0.0], [1.0, 0.0]])
+_SPACE = StringPath([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+_MIXED = "cannot measure between dimensions 2 and 3"
+
+
+def test_polyline_min_distance_refuses_mixed_dimensions():
+    with pytest.raises(ValueError, match=_MIXED):
+        polyline_min_distance(_FLAT, _SPACE)
+
+
+def test_point_polyline_distance_refuses_mixed_dimensions():
+    with pytest.raises(ValueError, match=_MIXED):
+        point_polyline_distance([0.0, 1.0], _SPACE)
+
+
+def test_point_segment_distance_refuses_mixed_dimensions():
+    with pytest.raises(ValueError, match=_MIXED):
+        point_segment_distance([0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+def test_worldsheets_antipodal_refuses_mixed_dimensions():
+    flat = Worldsheet(Region.from_points(_FLAT.vertices), (_FLAT,), 1e-6)
+    space = Worldsheet(Region.from_points(_SPACE.vertices), (_SPACE,), 1e-6)
+    with pytest.raises(ValueError, match=_MIXED):
+        worldsheets_antipodal(flat, space)
+
+
 def test_worldsheets_antipodal():
     a1 = StringPath([[0, 0], [1, 0]])
     a2 = StringPath([[0, 0.1], [1, 0.1]])

@@ -167,6 +167,27 @@ def test_sn_universe_clause():
     assert sn(universe, probe, universe=universe)
 
 
+def _mixed_dimension_calls():
+    # a universe of another dimension than both regions, and regions of two
+    # dimensions with a universe matching the first
+    flat = Region.from_points([[0.0, 0.0], [1.0, 0.0]])
+    space = Region.from_points([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    return [(flat, flat, space), (flat, space, flat), (space, flat, flat)]
+
+
+def test_sn_refuses_mixed_dimensions_with_a_universe():
+    for a, b, universe in _mixed_dimension_calls():
+        with pytest.raises(ValueError, match="regions must share a dimension"):
+            sn(a, b, universe=universe)
+
+
+def test_snd_refuses_mixed_dimensions_with_a_universe():
+    fm = feature_map_from_config({"name": "norm"})
+    for a, b, universe in _mixed_dimension_calls():
+        with pytest.raises(ValueError, match="regions must share a dimension"):
+            snd(a, b, fm, universe=universe)
+
+
 def test_snd_descriptive_interior_overlap():
     sp = grid_space(3, 3)
     # interiors: one holds a corner, the other the opposite corner
