@@ -402,6 +402,11 @@ def strings_antipodal(a: StringPath, b: StringPath, tol: float = POINT_TOL) -> b
     return not same_point_set(a.vertices, b.vertices, tol)
 
 
+def _measurable(n: int, k: int) -> None:
+    if n != k:
+        raise ValueError(f"cannot measure between dimensions {n} and {k}")
+
+
 def _segment_distances(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """(k, l) distances between the closed segments S[i] and T[j].
 
@@ -412,8 +417,7 @@ def _segment_distances(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     sums over the 2x2 minors (Lagrange and Binet-Cauchy identities), which do
     not cancel for nearly parallel segments as the products of dot products do.
     """
-    if S.shape[-1] != T.shape[-1]:
-        raise ValueError(f"cannot measure between dimensions {S.shape[-1]} and {T.shape[-1]}")
+    _measurable(S.shape[-1], T.shape[-1])
     p1, d1 = S[:, None, 0], S[:, None, -1] - S[:, None, 0]
     p2, d2 = T[None, :, 0], T[None, :, -1] - T[None, :, 0]
     r = p1 - p2
@@ -432,7 +436,9 @@ def _segment_distances(S: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 def point_segment_distance(p, a, b) -> float:
     """Distance from point p to the closed segment [a, b]."""
-    seg = np.stack([as_point(a), as_point(b)])[None]
+    a, b = as_point(a), as_point(b)
+    _measurable(a.size, b.size)
+    seg = np.stack([a, b])[None]
     return float(_segment_distances(as_point(p)[None, None], seg)[0, 0])
 
 

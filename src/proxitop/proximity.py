@@ -27,17 +27,20 @@ on it.
 
 check_axioms stress-tests the relations: it samples labeled subregions of a
 space with a seeded generator and asserts every axiom of the requested
-family, reporting violations with witnesses. Like the kernel, the strong and
-descriptive-strong families share one trial loop over the family's sameness
-rows; on a universe the point-identity rows are the identity, so each strong
-axiom reads as its textbook form. Universal-premise axioms that
-need exhaustive quantification (the descriptive transitivity and
+family, reporting violations with witnesses. Its draws are decoded in blocks
+from the seed's PCG64 raw stream, identical to Generator.random and
+Generator.integers, so reports depend only on that stream. Like the kernel,
+the strong and descriptive-strong families share one trial loop over the
+family's sameness rows; on a universe the point-identity rows are the
+identity, so each strong axiom reads as its textbook form. Universal-premise
+axioms that need exhaustive quantification (the descriptive transitivity and
 point-equality axioms) are additionally verified over every subset pair or
 triple when the universe has at most EXHAUSTIVE_LIMIT points.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from typing import Callable, Iterable
@@ -56,6 +59,7 @@ from .geometry import (
 )
 
 EXHAUSTIVE_LIMIT = 6
+BLOCK = 4096
 
 FAMILY_DESCRIPTIVE = "Lodato-descriptive"
 FAMILY_STRONG = "strong"
@@ -531,14 +535,67 @@ def _relation_adapter(engine: _MaskEngine, relation, family: str):
     return lambda A, iA, B, iB: bool(relation(reg(A, iA), reg(B, iB)))
 
 
-def _sample_labeled(rng, m: int):
-    mask = 0
-    imask = 0
-    for i in range(m):
-        if rng.random() < 0.55:
-            mask |= 1 << i
-            if rng.random() < 0.6:
-                imask |= 1 << i
+class _Draws:
+    """The draws of np.random.default_rng(seed), decoded in blocks.
+
+    Reads the seed's PCG64 raw outputs BLOCK at a time (O'Neill, PCG, 2014)
+    and gives bit for bit what Generator.random() and
+    Generator.integers(lo, hi) give for the same call sequence. A double is
+    PCG64's next_double, read by _sample_labeled from the doubles list at
+    pos; integers is numpy's Lemire rejection (ACM TOMACS 2019) over 32-bit
+    draws, each raw output giving its low half and then its high half.
+    Raw outputs read past the last one used are dropped with the object.
+    """
+
+    def __init__(self, seed):
+        self._bits = np.random.default_rng(seed).bit_generator
+        self.raw: list = []
+        self.doubles: list = []
+        self.pos = 0
+        self._high = None
+
+    def ahead(self, k: int) -> list:
+        """The double list, with at least k unread entries from pos on."""
+        while len(self.doubles) - self.pos < k:
+            raw = self._bits.random_raw(BLOCK)
+            self.raw = self.raw[self.pos:] + raw.tolist()
+            self.doubles = self.doubles[self.pos:] + ((raw >> 11) * 2.0**-53).tolist()
+            self.pos = 0
+        return self.doubles
+
+    def integers(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"cannot draw from {n} integers: the range must be 1..2**32")
+        if n == 1:
+            return lo
+        while True:
+            if self._high is None:
+                self.ahead(1)
+                r = self.raw[self.pos]
+                self.pos += 1
+                u, self._high = r & 0xFFFFFFFF, r >> 32
+            else:
+                u, self._high = self._high, None
+            prod = u * n
+            if prod & 0xFFFFFFFF >= ((1 << 32) - n) % n:
+                return lo + (prod >> 32)
+
+
+def _sample_labeled(draws: _Draws, m: int):
+    """A labeled subset of m points: each is in with chance 0.55, then interior with chance 0.6."""
+    d = draws.ahead(2 * m)
+    i = draws.pos
+    mask = imask = 0
+    for bit in range(m):
+        if d[i] < 0.55:
+            mask |= 1 << bit
+            if d[i + 1] < 0.6:
+                imask |= 1 << bit
+            i += 2
+        else:
+            i += 1
+    draws.pos = i
     return mask, imask
 
 
@@ -559,7 +616,10 @@ def check_axioms(
     descriptive-strong families run one trial loop over the family's
     sameness rows (point identity, description matching); only the strong
     family has the union axiom. Violations are reported in draw order with
-    witnesses.
+    witnesses. Draws are decoded in blocks from the PCG64 raw stream of
+    np.random.default_rng(seed), identical to Generator.random and
+    Generator.integers, so a report depends only on that stream. trials must
+    be an int (not a bool).
 
     `relation` optionally replaces the implemented relation of the family
     (for deliberately broken variants); it receives Region arguments, or
@@ -567,11 +627,14 @@ def check_axioms(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown axiom family: {family!r}")
+    if isinstance(trials, bool) or not hasattr(trials, "__index__"):
+        raise ValueError(f"trials must be an integer, not {trials!r}")
+    trials = operator.index(trials)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     eng = _MaskEngine(space)
     m = eng.m
-    rng = np.random.default_rng(seed)
+    draws = _Draws(seed)
     bad: list[dict] = []
 
     def flag(axiom, trial, **masks):
@@ -582,11 +645,11 @@ def check_axioms(
     if family == FAMILY_DESCRIPTIVE:
         near = eng.dnear if relation is None else _relation_adapter(eng, relation, family)
         for t in range(trials):
-            A, _ = _sample_labeled(rng, m)
-            B, _ = _sample_labeled(rng, m)
-            C, _ = _sample_labeled(rng, m)
-            x = int(rng.integers(m))
-            y = int(rng.integers(m))
+            A, _ = _sample_labeled(draws, m)
+            B, _ = _sample_labeled(draws, m)
+            C, _ = _sample_labeled(draws, m)
+            x = draws.integers(0, m)
+            y = draws.integers(0, m)
             if near(0, A) or near(A, 0):
                 flag("dP0", t, a=(A, 0))
             if near(A, B) != near(B, A):
@@ -606,54 +669,45 @@ def check_axioms(
             _exhaustive_descriptive(eng, near, bad)
     elif family == FAMILY_STRONG:
         rel = eng.sn if relation is None else _relation_adapter(eng, relation, family)
-        _strong_family_trials(eng, rel, eng.same_rows, "snN", rng, trials, flag)
+        _strong_family_trials(eng, rel, eng.same_rows, "snN", draws, trials, flag)
     else:
         rel = eng.snd if relation is None else _relation_adapter(eng, relation, family)
-        _strong_family_trials(eng, rel, eng.match_rows, "dsnP", rng, trials, flag)
+        _strong_family_trials(eng, rel, eng.match_rows, "dsnP", draws, trials, flag)
 
     return AxiomReport(family, trials, tuple(bad))
 
 
 def _exhaustive_descriptive(eng: _MaskEngine, near, bad: list):
     m, S = eng.m, 1 << eng.m
-    dn = [[near(A, B) for B in range(S)] for A in range(S)]
-    # dP3 over all triples
-    for A in range(S):
-        dnA = dn[A]
-        for B in range(S):
-            dAB = dnA[B]
-            for C in range(S):
-                if dnA[B | C] != (dAB or dnA[C]):
-                    bad.append(
-                        dict(axiom="dP3", trial=None, phase="exhaustive", a=A, b=B, c=C)
-                    )
-                    return
-    # dP4: A dnear B and every {b} dnear C force A dnear C
-    for C in range(1, S):
-        ok = 0
-        for b in range(m):
-            if dn[1 << b][C]:
-                ok |= 1 << b
-        for B in range(1, S):
-            if B & ~ok:
-                continue
-            for A in range(1, S):
-                if dn[A][B] and not dn[A][C]:
-                    bad.append(
-                        dict(axiom="dP4", trial=None, phase="exhaustive", a=A, b=B, c=C)
-                    )
-                    return
+    dn = np.array([[near(A, B) for B in range(S)] for A in range(S)], dtype=bool)
+    sets = np.arange(S)
+    # dP3 over all triples; the first hit in (A, B, C) order
+    hits = dn[:, sets[:, None] | sets] != (dn[:, :, None] | dn[:, None, :])
+    if hits.any():
+        A, B, C = np.unravel_index(np.argmax(hits), hits.shape)
+        bad.append(dict(axiom="dP3", trial=None, phase="exhaustive", a=int(A), b=int(B), c=int(C)))
+        return
+    # dP4: A dnear B and every {b} dnear C force A dnear C. ok[C] holds the b
+    # with {b} dnear C; the first hit over nonempty sets in (C, B, A) order
+    singles = 1 << np.arange(m)
+    ok = singles @ dn[singles]
+    sub = (sets & ~ok[:, None]) == 0
+    hits = sub[1:, 1:, None] & dn.T[None, 1:, 1:] & ~dn.T[1:, None, 1:]
+    if hits.any():
+        C, B, A = np.unravel_index(np.argmax(hits), hits.shape)
+        bad.append(dict(axiom="dP4", trial=None, phase="exhaustive", a=int(A) + 1, b=int(B) + 1, c=int(C) + 1))
+        return
     # dP5 over all point pairs
     for x in range(m):
         for y in range(m):
-            if dn[1 << x][1 << y] and not eng.match_rows[x] >> y & 1:
+            if dn[1 << x, 1 << y] and not eng.match_rows[x] >> y & 1:
                 bad.append(
                     dict(axiom="dP5", trial=None, phase="exhaustive", x=x, y=y)
                 )
                 return
 
 
-def _strong_family_trials(eng, rel, same, prefix, rng, trials, flag):
+def _strong_family_trials(eng, rel, same, prefix, draws, trials, flag):
     """Shared trial loop for the strong and descriptive-strong families.
 
     same is the family's sameness rows, as in _MaskEngine._strong:
@@ -664,10 +718,10 @@ def _strong_family_trials(eng, rel, same, prefix, rng, trials, flag):
     m = eng.m
     full = eng.full
     for t in range(trials):
-        A, iA = _sample_labeled(rng, m)
-        B, iB = _sample_labeled(rng, m)
-        x = int(rng.integers(m))
-        y = int(rng.integers(m))
+        A, iA = _sample_labeled(draws, m)
+        B, iB = _sample_labeled(draws, m)
+        x = draws.integers(0, m)
+        y = draws.integers(0, m)
         # n0: the empty set is far from everything; the whole space is near
         # every nonempty region
         if rel(0, 0, A, iA) or rel(A, iA, 0, 0):
@@ -681,8 +735,8 @@ def _strong_family_trials(eng, rel, same, prefix, rng, trials, flag):
         if same is eng.same_rows:
             # n3: nearness to one member with nonempty interior extends to
             # the union of the family
-            k = int(rng.integers(2, 4))
-            fam = [_sample_labeled(rng, m) for _ in range(k)]
+            k = draws.integers(2, 4)
+            fam = [_sample_labeled(draws, m) for _ in range(k)]
             UB = 0
             UiB = 0
             for Bm, iBm in fam:
@@ -780,13 +834,18 @@ def spc_check(
 def sample_region_pairs(
     space: DescriptiveSpace, count: int, seed: int = 0
 ) -> list[tuple]:
-    """Seeded nonempty labeled region pairs from a space, for checks and demos."""
-    rng = np.random.default_rng(seed)
+    """Seeded nonempty labeled region pairs from a space, for checks and demos.
+
+    Regions are drawn as in check_axioms: decoded in blocks from the PCG64
+    raw stream of np.random.default_rng(seed), identical to Generator.random,
+    so the pairs depend only on that stream.
+    """
+    draws = _Draws(seed)
     eng = _MaskEngine(space.universe)
     out = []
     while len(out) < count:
-        A, iA = _sample_labeled(rng, eng.m)
-        B, iB = _sample_labeled(rng, eng.m)
+        A, iA = _sample_labeled(draws, eng.m)
+        B, iB = _sample_labeled(draws, eng.m)
         if A and B:
             out.append((eng.region(A, iA), eng.region(B, iB)))
     return out
@@ -805,8 +864,10 @@ def random_space(seed: int, size: int | None = None, kind: str | None = None) ->
     comfortably above 2*tau, so description matching is an equivalence
     relation and the proximity axioms are satisfiable. kind picks the
     feature flavor ("coords", "norm", "even-coords", "constant", "lattice");
-    default is a seeded choice.
+    default is a seeded choice. size, 1..36, defaults to a seeded 4..12.
     """
+    if size is not None and not 1 <= size <= 36:
+        raise ValueError(f"random_space size must be 1..36 (a 6x6 grid), got {size}")
     rng = np.random.default_rng(seed)
     m = int(size) if size is not None else int(rng.integers(4, 13))
     cells = rng.choice(36, size=m, replace=False)

@@ -17,7 +17,7 @@ from proxitop import (
     sn,
     snd,
 )
-from proxitop.proximity import _MaskEngine, random_space
+from proxitop.proximity import _MaskEngine, _exhaustive_descriptive, _relation_adapter, random_space
 
 
 # injected Region-level relations; None stands for the empty set
@@ -62,6 +62,13 @@ def test_unknown_family_rejected():
     sp = random_space(0, size=4)
     with pytest.raises(ValueError):
         check_axioms(sp, "bogus")
+
+
+@pytest.mark.parametrize("trials", [True, False, 2.5, 3.0, "10"])
+def test_trials_that_are_not_integers_are_refused(trials):
+    sp = random_space(0, size=4)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        check_axioms(sp, FAMILY_STRONG, trials=trials)
 
 
 def test_asymmetric_relation_flagged_as_dP1():
@@ -134,6 +141,53 @@ def test_mask_engine_matches_public_relations():
             assert eng.snd(A, iA, B, iB) == snd(
                 ra, rb, sp.features, universe=universe
             )
+
+
+def _close(a, b):
+    # a non-transitive point relation extended to sets: additive, so it keeps
+    # dP3 and breaks only dP4
+    if a is None or b is None:
+        return False
+    return bool(np.min(np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)) <= 0.6)
+
+
+def _exhaustive_loops(eng, near):
+    # the exhaustive phase as plain loops over subsets: the first violation
+    # of dP3 in (A, B, C) order, of dP4 in (C, B, A) order, then of dP5
+    m, S = eng.m, 1 << eng.m
+    dn = [[near(A, B) for B in range(S)] for A in range(S)]
+    for A in range(S):
+        for B in range(S):
+            for C in range(S):
+                if dn[A][B | C] != (dn[A][B] or dn[A][C]):
+                    return [dict(axiom="dP3", trial=None, phase="exhaustive", a=A, b=B, c=C)]
+    for C in range(1, S):
+        ok = sum(1 << b for b in range(m) if dn[1 << b][C])
+        for B in range(1, S):
+            if B & ~ok:
+                continue
+            for A in range(1, S):
+                if dn[A][B] and not dn[A][C]:
+                    return [dict(axiom="dP4", trial=None, phase="exhaustive", a=A, b=B, c=C)]
+    for x in range(m):
+        for y in range(m):
+            if dn[1 << x][1 << y] and not eng.match_rows[x] >> y & 1:
+                return [dict(axiom="dP5", trial=None, phase="exhaustive", x=x, y=y)]
+    return []
+
+
+def test_exhaustive_phase_finds_the_first_violation_the_loops_find():
+    seen = set()
+    for seed, size in [(0, 6), (1, 4), (4, 5), (8, 6), (9, 5)]:
+        sp = random_space(seed, size=size)
+        eng = _MaskEngine(sp)
+        for relation in (None, _close, _touching, _lopsided, _second_small):
+            near = eng.dnear if relation is None else _relation_adapter(eng, relation, FAMILY_DESCRIPTIVE)
+            got = []
+            _exhaustive_descriptive(eng, near, got)
+            assert got == _exhaustive_loops(eng, near), (seed, size, relation)
+            seen |= {v["axiom"] for v in got}
+    assert seen == {"dP3", "dP4", "dP5"}
 
 
 # -- pinned reports under injected relations ----------------------------------

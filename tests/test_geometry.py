@@ -208,6 +208,11 @@ def test_point_segment_distance_refuses_mixed_dimensions():
         point_segment_distance([0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
+def test_point_segment_distance_refuses_segment_ends_of_mixed_dimensions():
+    with pytest.raises(ValueError, match=_MIXED):
+        point_segment_distance([0.0, 1.0], [0.0, 0.0], [1.0, 0.0, 0.0])
+
+
 def test_worldsheets_antipodal_refuses_mixed_dimensions():
     flat = Worldsheet(Region.from_points(_FLAT.vertices), (_FLAT,), 1e-6)
     space = Worldsheet(Region.from_points(_SPACE.vertices), (_SPACE,), 1e-6)

@@ -328,6 +328,17 @@ def test_random_space_reproducible():
     assert a.features.name == b.features.name
 
 
+@pytest.mark.parametrize("size", [1, 36])
+def test_random_space_takes_every_size_its_grid_holds(size):
+    assert random_space(4, size=size).size == size
+
+
+@pytest.mark.parametrize("size", [-1, 0, 37])
+def test_random_space_refuses_sizes_its_grid_cannot_hold(size):
+    with pytest.raises(ValueError, match=r"size must be 1\.\.36"):
+        random_space(4, size=size)
+
+
 # ---------------------------------------------------------------------------
 # independent oracles, written from the docstrings on plain tuples
 # ---------------------------------------------------------------------------
