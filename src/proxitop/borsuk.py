@@ -27,6 +27,7 @@ from .geometry import (
     StringPath,
     Worldsheet,
     as_point,
+    as_points,
     strings_antipodal,
     value_table,
     worldsheets_antipodal,
@@ -74,28 +75,37 @@ def feature_descriptor(features: FeatureMap, reduce: str = "mean") -> FeatureMap
     """Lift a point feature map to a descriptor of whole objects.
 
     The descriptor is a FeatureMap whose batch is a list of strings,
-    regions, worldsheets or bare points (a bare point is a one-point set).
-    Objects with equal point count and dimension are described together by
-    one features.rows call, and each object's rows are reduced: "mean"
-    averages them (arity k), "minmax" concatenates the feature-wise minimum
-    and maximum (arity 2k). Both reductions ignore point order. The
-    descriptor keeps the feature map's match tolerance; for another one,
-    build the feature map with it or use dataclasses.replace on the result.
+    regions, worldsheets or bare points (a bare point is a one-point set),
+    or an (m, n) point table: m one-point sets, described by one
+    features.rows call on the table (in points mode, but_search passes the
+    grid's sample table). In a list, objects with equal point count and
+    dimension are described together by one features.rows call. Each
+    object's rows are reduced: "mean" averages them (arity k), "minmax"
+    concatenates the feature-wise minimum and maximum (arity 2k). Both
+    reductions ignore point order. The descriptor keeps the feature map's
+    match tolerance; for another one, build the feature map with it or use
+    dataclasses.replace on the result.
     """
     if reduce not in ("mean", "minmax"):
         raise ValueError(f"unknown reduction: {reduce!r}")
     width = features.arity * (1 if reduce == "mean" else 2)
 
+    def reduced(P: np.ndarray, p: int) -> np.ndarray:
+        # (objects, points, arity); reduce over each object's own p points
+        R = features.rows(P).reshape(-1, p, features.arity)
+        return R.mean(axis=1) if reduce == "mean" else np.hstack([R.min(axis=1), R.max(axis=1)])
+
     def describe(objects):
+        if isinstance(objects, np.ndarray) and objects.ndim == 2:
+            # a point table: m one-point sets of one shape
+            return reduced(as_points(objects), 1)
         sets = [_object_points(o) for o in objects]
         groups: dict = {}
         for i, P in enumerate(sets):
             groups.setdefault(P.shape, []).append(i)
         out = np.empty((len(sets), width))
         for (p, _), idx in groups.items():
-            # (objects, points, arity); reduce over each object's own points
-            R = features.rows(np.concatenate([sets[i] for i in idx])).reshape(len(idx), p, -1)
-            out[idx] = R.mean(axis=1) if reduce == "mean" else np.hstack([R.min(axis=1), R.max(axis=1)])
+            out[idx] = reduced(np.concatenate([sets[i] for i in idx]), p)
         return out
 
     return FeatureMap(width, describe, features.match_tolerance, f"{reduce}-{features.name}")
@@ -218,8 +228,8 @@ def but_search(
         antipodal = np.array([pred(objects[a], objects[b]) for a, b in matched], dtype=bool)
         matched, gaps = matched[antipodal], gaps[antipodal]
     pairs = tuple(
-        ButPair(int(a), int(b), tuple(float(v) for v in values[a]), float(d))
-        for (a, b), d in zip(matched, gaps)
+        ButPair(a, b, tuple(v), d)
+        for (a, b), v, d in zip(matched.tolist(), values[matched[:, 0]].tolist(), gaps.tolist())
     )
     return ButResult(mode, len(objects), pairs)
 

@@ -368,7 +368,19 @@ def petty_antipodal_set(points, tol: float = POINT_TOL) -> bool:
     the closed slab between two disjoint parallel supporting hyperplanes.
     Exact in 2D via a complete direction arrangement; for dimension >= 3 the
     finite candidate set (pairwise differences plus axes) is a sufficient
-    witness family that may under-report exotic slabs.
+    witness family that may under-report exotic slabs (an exact test there
+    is still open).
+
+    On a candidate direction, p is low when its projection is within tol of
+    the minimum, q is high when within tol of the maximum, and the pair
+    needs a projected gap above tol. A direction is sure when its width
+    (max - tol) - (min + tol) exceeds tol: rounded subtraction is monotone,
+    so there every low-to-high gap exceeds tol and the pair test reduces to
+    "p low and q high". Those pairs are certified at once by one product of
+    the (points, directions) low and high tables. Only pairs left open are
+    tested on the directions that are not sure (width at most about
+    3 * tol), with the gap test as written. The verdict is that of testing
+    every pair on every candidate direction.
     """
     pts = as_points(points)
     m = pts.shape[0]
@@ -376,18 +388,28 @@ def petty_antipodal_set(points, tol: float = POINT_TOL) -> bool:
         raise ValueError("the Petty test needs at least 2 points")
     dirs = _petty_directions(pts)
     proj = pts @ dirs.T
-    lo = proj.min(axis=0)
-    hi = proj.max(axis=0)
-    for i in range(m):
-        at_lo_i = proj[i] <= lo + tol
-        at_hi_i = proj[i] >= hi - tol
-        for j in range(i + 1, m):
-            gap = proj[j] - proj[i]
-            fwd = at_lo_i & (proj[j] >= hi - tol) & (gap > tol)
-            bwd = at_hi_i & (proj[j] <= lo + tol) & (-gap > tol)
-            if not (fwd.any() or bwd.any()):
-                return False
-    return True
+    floor = proj.min(axis=0) + tol
+    ceil = proj.max(axis=0) - tol
+    sure = ceil - floor > tol
+    # 0/1 tables; a sum of nonnegative 0/1 terms never rounds to 0, so the
+    # float32 product counts a witness direction exactly when there is one
+    at_lo = np.less_equal(proj, floor, out=np.empty(proj.shape, np.float32))
+    at_hi = np.greater_equal(proj, ceil, out=np.empty(proj.shape, np.float32))
+    if sure.all():
+        hits = at_lo @ at_hi.T
+    else:
+        hits = at_lo[:, sure] @ at_hi[:, sure].T
+    # pair (i, j) is certified by i low and j high, or by j low and i high
+    i, j = np.nonzero(np.triu((hits == 0) & (hits.T == 0), 1))
+    for d in np.flatnonzero(~sure):
+        if i.size == 0:
+            break
+        gap = proj[j, d] - proj[i, d]
+        fwd = (at_lo[i, d] > 0) & (at_hi[j, d] > 0) & (gap > tol)
+        bwd = (at_hi[i, d] > 0) & (at_lo[j, d] > 0) & (-gap > tol)
+        still = ~(fwd | bwd)
+        i, j = i[still], j[still]
+    return i.size == 0
 
 
 def strings_antipodal(a: StringPath, b: StringPath, tol: float = POINT_TOL) -> bool:

@@ -271,6 +271,13 @@ def _bits(flags) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def _row_bits(table) -> list:
+    """[_bits(row) for row in table], from one packbits call over the table."""
+    packed = np.packbits(table, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[k * width : (k + 1) * width], "little") for k in range(len(packed))]
+
+
 def _members(mask: int) -> list:
     """The set bits of mask, ascending: the indices of the points it names."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
@@ -307,12 +314,12 @@ class _MaskEngine:
         self.points = points
         self.m = len(points)
         self.full = (1 << self.m) - 1
-        self.match_rows = None if match is None else [_bits(r) for r in match]
+        self.match_rows = None if match is None else _row_bits(match)
 
     @cached_property
     def same_rows(self) -> list:
         # only sn reads point identity, so the rows are built on first use
-        return [_bits(r) for r in point_close(self.points, self.points)]
+        return _row_bits(point_close(self.points, self.points))
 
     def dnear(self, A: int, B: int) -> bool:
         return _meets(self.match_rows, A, B)
@@ -599,6 +606,21 @@ def _sample_labeled(draws: _Draws, m: int):
     return mask, imask
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; bools, floats and other non-integers are refused."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return operator.index(value)
+
+
+def _count(value, name: str) -> int:
+    """value as a nonnegative int: refused as by _integer, and when negative."""
+    value = _integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
+
+
 def check_axioms(
     space: DescriptiveSpace,
     family: str,
@@ -627,11 +649,7 @@ def check_axioms(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown axiom family: {family!r}")
-    if isinstance(trials, bool) or not hasattr(trials, "__index__"):
-        raise ValueError(f"trials must be an integer, not {trials!r}")
-    trials = operator.index(trials)
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
+    trials = _count(trials, "trials")
     eng = _MaskEngine(space)
     m = eng.m
     draws = _Draws(seed)
@@ -838,8 +856,10 @@ def sample_region_pairs(
 
     Regions are drawn as in check_axioms: decoded in blocks from the PCG64
     raw stream of np.random.default_rng(seed), identical to Generator.random,
-    so the pairs depend only on that stream.
+    so the pairs depend only on that stream. count must be a nonnegative
+    int (not a bool), like check_axioms' trials.
     """
+    count = _count(count, "count")
     draws = _Draws(seed)
     eng = _MaskEngine(space.universe)
     out = []
@@ -864,12 +884,15 @@ def random_space(seed: int, size: int | None = None, kind: str | None = None) ->
     comfortably above 2*tau, so description matching is an equivalence
     relation and the proximity axioms are satisfiable. kind picks the
     feature flavor ("coords", "norm", "even-coords", "constant", "lattice");
-    default is a seeded choice. size, 1..36, defaults to a seeded 4..12.
+    default is a seeded choice. size, an int 1..36 (not a bool), defaults
+    to a seeded 4..12.
     """
-    if size is not None and not 1 <= size <= 36:
-        raise ValueError(f"random_space size must be 1..36 (a 6x6 grid), got {size}")
+    if size is not None:
+        size = _integer(size, "random_space size")
+        if not 1 <= size <= 36:
+            raise ValueError(f"random_space size must be 1..36 (a 6x6 grid), got {size}")
     rng = np.random.default_rng(seed)
-    m = int(size) if size is not None else int(rng.integers(4, 13))
+    m = size if size is not None else int(rng.integers(4, 13))
     cells = rng.choice(36, size=m, replace=False)
     pts = np.stack([cells // 6, cells % 6], axis=1).astype(float) * 0.5
     kinds = ("coords", "norm", "even-coords", "constant", "lattice", "lattice")

@@ -318,6 +318,55 @@ def test_feature_descriptor_rows_equal_per_object_reductions_bit_for_bit(case, n
     assert got.tobytes() == np.array(want).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 60),
+    name=st.sampled_from(sorted(_POINT_MAPS)),
+    reduce=st.sampled_from(["mean", "minmax"]),
+)
+def test_point_table_descriptor_equals_the_point_list_bit_for_bit(dim, seed, count, name, reduce):
+    rng = np.random.default_rng(seed)
+    # lattice values with signed zeros, so ties and -0.0 both occur
+    table = rng.integers(-2, 3, (count, dim)) * 0.5
+    table[rng.random((count, dim)) < 0.3] = -0.0
+    desc = feature_descriptor(_POINT_MAPS[name](dim), reduce)
+    got = desc.rows(table)
+    assert got.tobytes() == desc.rows(list(table)).tobytes()
+    assert got.tobytes() == desc.rows([row.tolist() for row in table]).tobytes()
+
+
+def test_point_table_descriptor_reduces_signed_zeros_like_a_list():
+    table = np.array([[-0.0, 1.0], [2.0, -0.0]])
+    desc = feature_descriptor(feature_map_from_config({"name": "coords", "dim": 2}), "mean")
+    got = desc.rows(table)
+    assert got.tobytes() == desc.rows(list(table)).tobytes()
+    # the mean reduction turns -0.0 into +0.0, so the rows are not the raw table
+    assert not np.signbit(got).any() and got.tolist() == table.tolist()
+
+
+def test_point_table_descriptor_makes_one_call_on_the_table():
+    seen = []
+
+    def coords(P):
+        seen.append(P.shape)
+        return P
+
+    table = np.arange(12.0).reshape(6, 2)
+    got = feature_descriptor(FeatureMap(2, coords, name="seen"), "minmax").rows(table)
+    assert seen == [(6, 2)]
+    assert got.tolist() == np.hstack([table, table]).tolist()
+
+
+def test_but_search_pairs_hold_python_numbers():
+    res = but_search(feature_descriptor(even_map(3, tol=1e-6)), grid=sphere_sample(2, 6))
+    assert res.pairs
+    for p in res.pairs:
+        assert type(p.a) is int and type(p.b) is int and type(p.distance) is float
+        assert all(type(v) is float for v in p.value)
+
+
 def test_feature_descriptor_evaluates_once_per_point_count():
     seen = []
 

@@ -1,5 +1,6 @@
 """Spatial primitives: hyperplane witnesses, Petty sets, strings, grids."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from proxitop import (
     worldsheet_cover_check,
     worldsheets_antipodal,
 )
-from proxitop.geometry import point_polyline_distance, point_segment_distance
+from proxitop.geometry import POINT_TOL, _petty_directions, point_polyline_distance, point_segment_distance
 
 
 def test_hyperplane_normalizes_and_measures():
@@ -130,6 +131,88 @@ def test_petty_agrees_with_lp_oracle():
 
 def test_petty_duplicate_points_false():
     assert not petty_antipodal_set([[0, 0], [0, 0], [1, 1]])
+
+
+def _petty_pair_loop(points, tol=POINT_TOL):
+    """Reference Petty test: every pair, one at a time, on every candidate direction."""
+    pts = np.asarray(points, dtype=float)
+    m = pts.shape[0]
+    proj = pts @ _petty_directions(pts).T
+    lo = proj.min(axis=0)
+    hi = proj.max(axis=0)
+    for i in range(m):
+        at_lo_i = proj[i] <= lo + tol
+        at_hi_i = proj[i] >= hi - tol
+        for j in range(i + 1, m):
+            gap = proj[j] - proj[i]
+            fwd = at_lo_i & (proj[j] >= hi - tol) & (gap > tol)
+            bwd = at_hi_i & (proj[j] <= lo + tol) & (-gap > tol)
+            if not (fwd.any() or bwd.any()):
+                return False
+    return True
+
+
+def _cube(n):
+    return np.array(list(itertools.product([0.0, 1.0], repeat=n)))
+
+
+@st.composite
+def _petty_sets(draw):
+    """Point sets in R^2..R^6: random, integer-rounded (tie-heavy), tol-scale, sheared cubes."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["random", "integer", "tiny", "sheared-cube"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 10))
+    if kind == "random":
+        return rng.standard_normal((m, n))
+    if kind == "integer":
+        return rng.integers(-1, 2, (m, n)).astype(float)
+    if kind == "tiny":
+        return rng.integers(-2, 3, (m, n)) * 1e-9
+    shear = np.eye(n) + np.triu(rng.uniform(-1, 1, (n, n)), 1)
+    pts = _cube(n) @ shear.T * rng.uniform(0.5, 3) + rng.uniform(-2, 2, n)
+    if draw(st.booleans()):
+        pts = pts[rng.permutation(len(pts))[: max(2, len(pts) // 2)]]
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_petty_sets())
+def test_petty_table_equals_the_pair_loop(pts):
+    assert petty_antipodal_set(pts) == _petty_pair_loop(pts)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [[0.0, 0.0], [1.0, 0.0], [0.5, 2e-9]],
+        [[0.0, 0.0], [1.5e-9, 0.0], [3e-9, 0.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 2.5e-9], [1.0, 1.0, 0.0]],
+        # a low and a high point of a thin direction at most tol apart
+        np.array([[-2, 0, -2, 1], [0, 2, 1, 1], [-2, 1, 1, 2], [1, -1, 0, 0], [1, 0, 1, 2], [-1, 2, 0, 2]]) * 1e-9,
+    ],
+)
+def test_petty_directions_too_thin_to_be_sure_keep_the_gap_test(pts):
+    # some candidate direction has width in (tol, 3 tol]: its low and high
+    # points may be too close to certify, so the gap test decides there
+    pts = np.array(pts)
+    proj = pts @ _petty_directions(pts).T
+    width = proj.max(axis=0) - proj.min(axis=0)
+    assert np.any((width > POINT_TOL) & (width <= 3 * POINT_TOL))
+    assert petty_antipodal_set(pts) == _petty_pair_loop(pts)
+
+
+def test_petty_pair_left_to_a_thin_direction():
+    # two points 2e-9 apart: no direction is sure, and the x axis certifies
+    # the pair on its gap; 0.5e-9 apart, no gap exceeds tol
+    assert petty_antipodal_set([[0.0, 0.0], [2e-9, 0.0]])
+    assert not petty_antipodal_set([[0.0, 0.0], [0.5e-9, 0.0]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_petty_cube_vertices_are_antipodal(n):
+    assert petty_antipodal_set(_cube(n))
+    assert not petty_antipodal_set(np.concatenate([_cube(n), [[0.5] * n]]))
 
 
 # -- strings ----------------------------------------------------------------

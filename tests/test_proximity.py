@@ -23,7 +23,7 @@ from proxitop import (
     snd,
     spc_check,
 )
-from proxitop.proximity import random_space
+from proxitop.proximity import _bits, _row_bits, random_space
 
 
 def grid_space(width, height, tol=0.0):
@@ -337,6 +337,42 @@ def test_random_space_takes_every_size_its_grid_holds(size):
 def test_random_space_refuses_sizes_its_grid_cannot_hold(size):
     with pytest.raises(ValueError, match=r"size must be 1\.\.36"):
         random_space(4, size=size)
+
+
+@pytest.mark.parametrize("size", [2.5, 3.0, True, "4"])
+def test_random_space_refuses_sizes_that_are_not_integers(size):
+    with pytest.raises(ValueError, match="random_space size must be an integer"):
+        random_space(4, size=size)
+
+
+def test_random_space_takes_numpy_integer_sizes():
+    assert random_space(4, size=np.int64(5)).size == 5
+
+
+@pytest.mark.parametrize("count", [2.5, True])
+def test_sample_region_pairs_refuses_counts_that_are_not_integers(count):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        sample_region_pairs(random_space(3, size=4), count)
+
+
+def test_sample_region_pairs_refuses_negative_counts():
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        sample_region_pairs(random_space(3, size=4), -3)
+
+
+def test_sample_region_pairs_takes_zero_and_numpy_counts():
+    sp = random_space(3, size=4)
+    assert sample_region_pairs(sp, 0) == []
+    assert len(sample_region_pairs(sp, np.int64(3))) == 3
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 130])
+def test_row_bits_equal_one_bits_call_per_row(width):
+    table = np.random.default_rng(width).random((5, width)) < 0.5
+    table[0] = False
+    table[1] = True
+    assert _row_bits(table) == [_bits(r) for r in table]
+    assert _row_bits(table[:0]) == []
 
 
 # ---------------------------------------------------------------------------
