@@ -338,25 +338,28 @@ def antipodal_point_witness(p, q, tol: float = POINT_TOL):
 def _petty_directions(pts: np.ndarray) -> np.ndarray:
     """Candidate slab directions for the Petty test.
 
-    Pairwise differences and coordinate axes in every dimension. In 2D the
-    set is completed into a full direction arrangement: perpendiculars of the
-    differences are the critical angles where some projection order ties, and
-    the angular midpoints between consecutive critical angles sample every
-    open cell, so checking all candidates decides each pair exactly.
+    One orientation of each pairwise difference, and the coordinate axes.
+    Negating a direction negates every projection exactly, which swaps its
+    low and high tables, and the pair test reads both orientations of each
+    pair, so the mirrored half of the family would decide nothing more. In
+    2D the set is completed into a full direction arrangement:
+    perpendiculars of the differences are the critical angles where some
+    projection order ties, and the angular midpoints between consecutive
+    critical angles sample every open cell, so checking all candidates
+    decides each pair exactly.
     """
     m, n = pts.shape
-    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, n)
-    keep = np.linalg.norm(diffs, axis=1) > POINT_TOL
-    cands = [diffs[keep], np.eye(n), -np.eye(n)]
+    i, j = np.triu_indices(m, 1)
+    d = pts[i] - pts[j]
+    d = d[np.linalg.norm(d, axis=1) > POINT_TOL]
     if n == 2:
-        d = diffs[keep]
         perp = np.stack([-d[:, 1], d[:, 0]], axis=1)
         base = np.concatenate([d, -d, perp, -perp, np.eye(2), -np.eye(2)])
         ang = np.sort(np.unique(np.round(np.arctan2(base[:, 1], base[:, 0]), 12)))
         mids = (ang + np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]])) / 2.0)
         allang = np.concatenate([ang, mids])
         return np.stack([np.cos(allang), np.sin(allang)], axis=1)
-    dirs = np.concatenate(cands)
+    dirs = np.concatenate([d, np.eye(n)])
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 

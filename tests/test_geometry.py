@@ -133,11 +133,11 @@ def test_petty_duplicate_points_false():
     assert not petty_antipodal_set([[0, 0], [0, 0], [1, 1]])
 
 
-def _petty_pair_loop(points, tol=POINT_TOL):
+def _petty_pair_loop(points, tol=POINT_TOL, dirs=None):
     """Reference Petty test: every pair, one at a time, on every candidate direction."""
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
-    proj = pts @ _petty_directions(pts).T
+    proj = pts @ (_petty_directions(pts) if dirs is None else dirs).T
     lo = proj.min(axis=0)
     hi = proj.max(axis=0)
     for i in range(m):
@@ -156,10 +156,19 @@ def _cube(n):
     return np.array(list(itertools.product([0.0, 1.0], repeat=n)))
 
 
+def _negation_closed_family(pts):
+    """Every pairwise difference in both orientations, and both signs of each axis."""
+    n = pts.shape[1]
+    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, n)
+    keep = np.linalg.norm(diffs, axis=1) > POINT_TOL
+    dirs = np.concatenate([diffs[keep], np.eye(n), -np.eye(n)])
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
 @st.composite
-def _petty_sets(draw):
+def _petty_sets(draw, min_dim=2):
     """Point sets in R^2..R^6: random, integer-rounded (tie-heavy), tol-scale, sheared cubes."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(min_dim, 6))
     kind = draw(st.sampled_from(["random", "integer", "tiny", "sheared-cube"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(2, 10))
@@ -176,10 +185,19 @@ def _petty_sets(draw):
     return pts
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
 @given(pts=_petty_sets())
 def test_petty_table_equals_the_pair_loop(pts):
     assert petty_antipodal_set(pts) == _petty_pair_loop(pts)
+
+
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(pts=_petty_sets(min_dim=3))
+def test_petty_one_orientation_decides_as_the_negation_closed_family(pts):
+    # the candidate family keeps one orientation of each difference and the
+    # positive axes; the pair loop on the family closed under negation must
+    # agree, so the table reads both orientations of every pair
+    assert petty_antipodal_set(pts) == _petty_pair_loop(pts, dirs=_negation_closed_family(pts))
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from proxitop import (
     save_points_csv,
     torus_grid,
 )
-from proxitop.io import _OBJ_BLOCK, _parse_rows
+from proxitop.io import _OBJ_BLOCK, _face_lines, _parse_rows
 
 
 def write(tmp_path, name, text):
@@ -310,7 +310,7 @@ def _obj_oracle(verts, faces) -> bytes:
     return "".join(lines).encode()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=settings.default.max_examples * 3 // 10, deadline=None)
 @given(
     nv=st.sampled_from(_ROWS),
     nf=st.sampled_from(_ROWS),
@@ -335,6 +335,53 @@ def test_export_mesh_matches_per_row_oracle(tmp_path_factory, nv, nf, pool, seed
     p = tmp_path_factory.getbasetemp() / "oracle.obj"
     export_mesh(MeshDocument(verts, faces), p)
     assert p.read_bytes() == _obj_oracle(verts, faces)
+
+
+def _fixed_notation_values(rng, shape):
+    """Both signs of floats the kernel must write or refuse exactly.
+
+    Log-uniform magnitudes in [1e-5, 1e9]; 9-digit significands M with
+    runs of zero digits, at every exponent; constructed ties (M + 0.5) *
+    10**(e - 8); powers of ten and their nextafter neighbours; the edges of
+    the fixed notation and their neighbours; zeros, subnormals and
+    integer-valued floats.
+    """
+    k = rng.integers(-6, 11, shape).astype(float)
+    magnitude = 10.0 ** rng.uniform(-5, 9, shape)
+    digits = rng.integers(1, 10, shape + (9,)) * (rng.random(shape + (9,)) < 0.3)
+    digits[..., 0] = rng.integers(1, 10, shape)
+    significand = (digits * 10.0 ** np.arange(8, -1, -1)).sum(axis=-1)
+    sparse = np.where(k <= 8, significand / 10.0 ** (8 - np.minimum(k, 8)), significand * 10.0 ** (k - 8))
+    tie = (rng.integers(10**8, 10**9, shape) + 0.5) * 10.0 ** (k - 8)
+    power = 10.0 ** k
+    neighbour = np.nextafter(power, np.where(rng.random(shape) < 0.5, 0.0, np.inf))
+    edges = np.array([9.9999999950e-5, 999999999.5, 1e-4, 1e-5, 1e8, 1e9, 0.0, 5e-324,
+                      2.2250738585072014e-308, 1e-300])
+    edge = rng.choice(np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]), shape)
+    whole = rng.integers(0, 2 * 10**9, shape).astype(float)
+    x = np.choose(rng.integers(0, 7, shape), [magnitude, sparse, tie, power, neighbour, edge, whole])
+    return np.where(rng.random(shape) < 0.5, -x, x)
+
+
+@settings(max_examples=settings.default.max_examples // 2, deadline=None)
+@given(nv=st.sampled_from(_ROWS), seed=st.integers(0, 2**32 - 1))
+def test_export_mesh_fixed_notation_matches_per_row_oracle(tmp_path_factory, nv, seed):
+    rng = np.random.default_rng(seed)
+    verts = _fixed_notation_values(rng, (nv, 3))
+    faces = rng.integers(0, nv, size=(3, 4))
+    p = tmp_path_factory.getbasetemp() / "fixed.obj"
+    export_mesh(MeshDocument(verts, faces), p)
+    assert p.read_bytes() == _obj_oracle(verts, faces)
+
+
+@pytest.mark.parametrize("top", [10**3, 10**4, 10**7, 10**8, 10**11])
+def test_face_lines_at_group_boundaries(top):
+    # indices this large need a mesh too big to build, so the face kernel is
+    # called directly; small indices share each block with large ones
+    edge = [top - 1, top, top + 1]
+    faces = np.array([edge + [1], [1, 9, 10, 99], [100, 999, 1000, 9999], [10**4, 10**4 + 1, 1, top]])
+    got = _face_lines(faces.astype(float)).tobytes().translate(None, b"\0")
+    assert got == "".join(f"f {a} {b} {c} {d}\n" for a, b, c, d in faces.tolist()).encode()
 
 
 def test_export_mesh_refuses_empty():
