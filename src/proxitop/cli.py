@@ -6,6 +6,15 @@ usage errors; every failure prints a single "error: ..." line to stderr.
 Reports contain no timestamps, so identical argv and input bytes give
 byte-identical output. PROXITOP_SEED supplies a default seed where a
 --seed flag exists; the flag wins.
+
+A handler only computes: it returns (parameters, results, input paths),
+the paths as a dict of report key to file name. run_command alone builds
+the ReportDocument, names the command from the parser's dests, digests
+the inputs, writes the report, and maps every error to its exit code
+(SystemExit to its code, UsageError to 2, anything else to 1). It is the
+one place where report-wide additions, the planned `stats` work counters
+and `--profile` phase times, attach. Handlers reach the io functions
+through this module's names, where bench/tracing.py wraps them.
 """
 
 from __future__ import annotations
@@ -50,11 +59,6 @@ def _default_seed() -> int:
         raise UsageError(f"PROXITOP_SEED is not an integer: {raw!r}") from None
 
 
-def _emit(report: ReportDocument) -> int:
-    sys.stdout.write(report.to_json())
-    return 0
-
-
 def _features_config(raw: str | None) -> dict:
     if raw is None:
         return {"name": "coords"}
@@ -77,65 +81,38 @@ _FAMILY_ALIASES = {
 }
 
 
-def _cmd_axioms_check(ns) -> int:
+def _cmd_axioms_check(ns):
     family = _FAMILY_ALIASES.get(ns.family.lower(), ns.family)
-    if family not in proximity.FAMILIES:
-        raise ValueError(
-            f"unknown family {ns.family!r}, expected one of {', '.join(proximity.FAMILIES)}"
-        )
     pts = load_points_csv(ns.space)
     cfg = _features_config(ns.features)
     fm = proximity.feature_map_from_config(cfg, dim=pts.shape[1] if pts.size else None)
     space = proximity.DescriptiveSpace(pts, fm)
     report = proximity.check_axioms(space, family, trials=ns.trials, seed=ns.seed)
-    doc = ReportDocument(
-        command="axioms check",
-        parameters={
-            "family": family,
-            "space": ns.space,
-            "trials": ns.trials,
-            "seed": ns.seed,
-            "features": cfg,
-        },
-        results=report.to_dict(),
-        input_digest={"space": file_digest(ns.space)},
-    )
-    return _emit(doc)
+    parameters = {
+        "family": family,
+        "space": ns.space,
+        "trials": ns.trials,
+        "seed": ns.seed,
+        "features": cfg,
+    }
+    return parameters, report.to_dict(), {"space": ns.space}
 
 
-def _cmd_antipodes_witness(ns) -> int:
+def _cmd_antipodes_witness(ns):
     pts = load_points_csv(ns.points)
     if pts.shape[0] != 2:
         raise ValueError(f"witness needs exactly 2 points, got {pts.shape[0]}")
     w = geometry.antipodal_point_witness(pts[0], pts[1])
-    if w is None:
-        result = {"witness": None}
-    else:
-        result = {
-            "witness": {
-                "normal": [float(c) for c in w[0].normal],
-                "offsets": [w[0].offset, w[1].offset],
-            }
-        }
-    doc = ReportDocument(
-        command="antipodes witness",
-        parameters={"points": ns.points},
-        results=result,
-        input_digest={"points": file_digest(ns.points)},
-    )
-    return _emit(doc)
+    if w is not None:
+        w = {"normal": [float(c) for c in w[0].normal], "offsets": [w[0].offset, w[1].offset]}
+    return {"points": ns.points}, {"witness": w}, {"points": ns.points}
 
 
-def _cmd_antipodes_petty(ns) -> int:
+def _cmd_antipodes_petty(ns):
     pts = load_points_csv(ns.points)
     verdict = geometry.petty_antipodal_set(pts)
-    doc = ReportDocument(
-        command="antipodes petty",
-        parameters={"points": ns.points},
-        results={"antipodal": bool(verdict), "points": pts.shape[0]},
-        input_digest={"points": file_digest(ns.points)},
-    )
-    return _emit(doc)
+    results = {"antipodal": bool(verdict), "points": pts.shape[0]}
+    return {"points": ns.points}, results, {"points": ns.points}
 
 
 def _parse_grid_spec(tokens) -> tuple:
@@ -156,7 +133,7 @@ def _parse_grid_spec(tokens) -> tuple:
     return n, density
 
 
-def _cmd_but_search(ns) -> int:
+def _cmd_but_search(ns):
     n, density = _parse_grid_spec(ns.grid)
     if n not in (1, 2):
         raise ValueError("but search supports grid n=1 or n=2")
@@ -175,50 +152,41 @@ def _cmd_but_search(ns) -> int:
             result = borsuk.but_search(desc, strings=arcs)
         else:
             result = borsuk.but_search(desc, sheets=geometry.arc_sheets(arcs))
-    doc = ReportDocument(
-        command="but search",
-        parameters={
-            "mode": ns.mode,
-            "n": n,
-            "density": density,
-            "descriptor": ns.descriptor,
-            "tol": ns.tol,
-        },
-        results=result.to_dict(),
-    )
-    return _emit(doc)
+    parameters = {
+        "mode": ns.mode,
+        "n": n,
+        "density": density,
+        "descriptor": ns.descriptor,
+        "tol": ns.tol,
+    }
+    return parameters, result.to_dict(), {}
 
 
 def _parse_mesh_grid(raw: str) -> tuple:
-    parts = raw.lower().split("x")
-    if len(parts) != 2:
-        raise UsageError(f"mesh grid looks like GxG, got {raw!r}")
     try:
-        nu, nv = int(parts[0]), int(parts[1])
+        nu, nv = map(int, raw.lower().split("x"))  # a wrong part count is a ValueError too
     except ValueError:
         raise UsageError(f"mesh grid looks like GxG, got {raw!r}") from None
     return nu, nv
 
 
-def _cmd_surface_torus(ns) -> int:
+def _write_torus_mesh(params, verts, faces, out) -> dict:
+    """Write a mesh on the torus as OBJ; its sizes and largest distance off the torus."""
+    export_mesh(MeshDocument(verts, faces), out)
+    return {
+        "vertices": int(verts.shape[0]),
+        "faces": int(faces.shape[0]),
+        "max_residual": float(np.max(surfaces.torus_residual(verts, params))),
+    }
+
+
+def _cmd_surface_torus(ns):
     params = surfaces.TorusParams(ns.c, ns.r)
     nu, nv = _parse_mesh_grid(ns.grid)
-    verts, faces = surfaces.torus_grid(params, nu, nv)
-    mesh = MeshDocument(verts, faces)
-    export_mesh(mesh, ns.out)
+    results = _write_torus_mesh(params, *surfaces.torus_grid(params, nu, nv), ns.out)
     area, volume = surfaces.torus_measures(params)
-    doc = ReportDocument(
-        command="surface torus",
-        parameters={"c": ns.c, "r": ns.r, "grid": ns.grid, "out": ns.out},
-        results={
-            "vertices": int(verts.shape[0]),
-            "faces": int(faces.shape[0]),
-            "area": float(area),
-            "volume": float(volume),
-            "max_residual": float(np.max(surfaces.torus_residual(verts, params))),
-        },
-    )
-    return _emit(doc)
+    results.update(area=float(area), volume=float(volume))
+    return {"c": ns.c, "r": ns.r, "grid": ns.grid, "out": ns.out}, results, {}
 
 
 def _trace_xz(path) -> np.ndarray:
@@ -228,40 +196,24 @@ def _trace_xz(path) -> np.ndarray:
     return trace[:, 1:]
 
 
-def _cmd_eeg_lift(ns) -> int:
+def _cmd_eeg_lift(ns):
     xz = _trace_xz(ns.infile)
     lifted = surfaces.eeg_twist_lift(xz).vertices
     save_curve_csv(ns.out, lifted)
-    doc = ReportDocument(
-        command="eeg lift",
-        parameters={"in": ns.infile, "out": ns.out},
-        results={
-            "samples": int(lifted.shape[0]),
-            "twist_min": float(lifted[:, 2].min()),
-            "twist_max": float(lifted[:, 2].max()),
-        },
-        input_digest={"in": file_digest(ns.infile)},
-    )
-    return _emit(doc)
+    results = {
+        "samples": int(lifted.shape[0]),
+        "twist_min": float(lifted[:, 2].min()),
+        "twist_max": float(lifted[:, 2].max()),
+    }
+    return {"in": ns.infile, "out": ns.out}, results, {"in": ns.infile}
 
 
-def _cmd_eeg_torus(ns) -> int:
+def _cmd_eeg_torus(ns):
     xz = _trace_xz(ns.infile)
     params = surfaces.TorusParams(ns.c, ns.r)
-    verts, faces = surfaces.trace_to_torus_band(params, xz)
-    mesh = MeshDocument(verts, faces)
-    export_mesh(mesh, ns.out)
-    doc = ReportDocument(
-        command="eeg torus",
-        parameters={"in": ns.infile, "c": ns.c, "r": ns.r, "out": ns.out},
-        results={
-            "vertices": int(verts.shape[0]),
-            "faces": int(faces.shape[0]),
-            "max_residual": float(np.max(surfaces.torus_residual(verts, params))),
-        },
-        input_digest={"in": file_digest(ns.infile)},
-    )
-    return _emit(doc)
+    results = _write_torus_mesh(params, *surfaces.trace_to_torus_band(params, xz), ns.out)
+    parameters = {"in": ns.infile, "c": ns.c, "r": ns.r, "out": ns.out}
+    return parameters, results, {"in": ns.infile}
 
 
 def _builtin_map(name: str):
@@ -275,16 +227,12 @@ def _builtin_map(name: str):
     raise ValueError(f"unknown map {name!r}, expected half, cos, or rot90")
 
 
-def _cmd_fixedpoint(ns) -> int:
+def _cmd_fixedpoint(ns):
     f, n = _builtin_map(ns.map)
     x = borsuk.fixed_point_search(f, n, tol=ns.tol)
     residual = float(np.linalg.norm(np.asarray(f(x), dtype=float) - x))
-    doc = ReportDocument(
-        command="fixedpoint",
-        parameters={"map": ns.map, "tol": ns.tol},
-        results={"point": [float(c) for c in x], "residual": residual},
-    )
-    return _emit(doc)
+    results = {"point": [float(c) for c in x], "residual": residual}
+    return {"map": ns.map, "tol": ns.tol}, results, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,28 +301,24 @@ def run_command(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
     try:
         ns = build_parser().parse_args(list(argv))
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        if not hasattr(ns, "func"):
+            raise UsageError("missing subcommand (try --help)")
+        if getattr(ns, "seed", "absent") is None:
+            ns.seed = _default_seed()
+        parameters, results, inputs = ns.func(ns)
+        report = ReportDocument(
+            command=" ".join(filter(None, (ns.group, getattr(ns, "command", None)))),
+            parameters=parameters,
+            results=results,
+            input_digest={key: file_digest(path) for key, path in inputs.items()} or None,
+        )
+        sys.stdout.write(report.to_json())
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    if not hasattr(ns, "func"):
-        print("error: missing subcommand (try --help)", file=sys.stderr)
-        return 2
-    if getattr(ns, "seed", "absent") is None:
-        try:
-            ns.seed = _default_seed()
-        except UsageError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    try:
-        return ns.func(ns)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, UsageError) else 1
+    return 0
 
 
 def main() -> None:

@@ -358,11 +358,10 @@ class ReportDocument:
     parameters: dict
     results: dict
     input_digest: dict | None = None
-    schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "input_digest": self.input_digest,
             "parameters": self.parameters,

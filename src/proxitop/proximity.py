@@ -40,6 +40,7 @@ triple when the universe has at most EXHAUSTIVE_LIMIT points.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, partial, wraps
@@ -150,29 +151,39 @@ def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:
     Recognized names: "coords", "norm", "even-coords", "adjacency-count"
     (params width, height), "constant" (param value). "coords" and
     "even-coords" need the point dimension, either as a "dim" entry or via
-    the dim argument. Optional "tolerance" sets the match tolerance.
+    the dim argument. Optional "tolerance" sets the match tolerance. dim,
+    width and height must be integers and the tolerance a number; a missing
+    parameter is named.
     """
     cfg = dict(config)
     name = cfg.pop("name", None)
-    tol = float(cfg.pop("tolerance", 0.0))
+
+    def need(key):
+        if key not in cfg:
+            raise ValueError(f"{name} feature map needs parameter {key!r}")
+        return cfg.pop(key)
+
+    tol = cfg.pop("tolerance", 0.0)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"tolerance must be a number, not {tol!r}")
+    tol = float(tol)
+    d = _integer(cfg.pop("dim", dim or 0), "dim")
     if name in ("coords", "even-coords"):
-        d = int(cfg.pop("dim", dim or 0))
         if d < 1:
             raise ValueError(f"{name} feature map needs a dimension")
         fm = FeatureMap(d, (lambda P: P) if name == "coords" else np.abs, tol, name)
     elif name == "norm":
         fm = FeatureMap(1, lambda P: np.linalg.norm(P, axis=1)[:, None], tol, "norm")
     elif name == "adjacency-count":
-        w, h = int(cfg.pop("width")), int(cfg.pop("height"))
+        w, h = _integer(need("width"), "width"), _integer(need("height"), "height")
         if w < 1 or h < 1:
             raise ValueError("adjacency-count needs positive grid dimensions")
         fm = FeatureMap(1, pointwise(partial(corner_region_descriptor, w, h)), tol, "adjacency-count")
     elif name == "constant":
-        value = np.atleast_1d(np.asarray(cfg.pop("value"), dtype=float))
+        value = np.atleast_1d(np.asarray(need("value"), dtype=float))
         fm = FeatureMap(value.size, lambda P, v=value: np.tile(v, (len(P), 1)), tol, "constant")
     else:
         raise ValueError(f"unknown feature map name: {name!r}")
-    cfg.pop("dim", None)
     if cfg:
         raise ValueError(f"unrecognized feature map parameters: {sorted(cfg)}")
     return fm
@@ -648,7 +659,7 @@ def check_axioms(
     None for the empty set, and is evaluated on a slower path.
     """
     if family not in FAMILIES:
-        raise ValueError(f"unknown axiom family: {family!r}")
+        raise ValueError(f"unknown family {family!r}, expected one of {', '.join(FAMILIES)}")
     trials = _count(trials, "trials")
     eng = _MaskEngine(space)
     m = eng.m

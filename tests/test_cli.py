@@ -1,12 +1,18 @@
 """End-to-end command line behavior: exit codes, report bytes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import proxitop
+from proxitop import DescriptiveSpace, check_axioms, feature_map_from_config
 from proxitop.cli import run_command
+from proxitop.proximity import FAMILIES
 
 TRACE = "t,x,z\n0.0,0.0,0.1\n0.5,1.0,0.2\n1.0,2.0,0.05\n1.5,3.1,0.3\n"
 SQUARE = "x1,x2\n0,0\n1,0\n0,1\n1,1\n"
@@ -304,3 +310,79 @@ def test_seed_flag_beats_env(capsys, square_file, monkeypatch):
          "--trials", "20", "--seed", "3"],
     )
     assert doc["parameters"]["seed"] == 3
+
+
+def _single_error(capsys):
+    """The one stderr line of a failed run, after checking stdout stayed empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_help_exits_zero(capsys):
+    assert run_command(["--help"]) == 0
+    assert run_command(["surface", "torus", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_unknown_flag_is_usage_error(capsys):
+    assert run_command(["fixedpoint", "--map", "half", "--bogus"]) == 2
+    assert "--bogus" in _single_error(capsys)
+
+
+@pytest.mark.parametrize("grid", ["3by3", "3x3x3", "ax3", "3x"])
+def test_handler_usage_error_exits_two(capsys, tmp_path, grid):
+    out = tmp_path / "m.obj"
+    rc = run_command(
+        ["surface", "torus", "--c", "2", "--r", "1", "--grid", grid, "--out", str(out)]
+    )
+    assert rc == 2
+    assert "GxG" in _single_error(capsys)
+    assert not out.exists()
+
+
+def test_library_value_error_exits_one(capsys, square_file):
+    assert run_command(["antipodes", "witness", "--points", str(square_file)]) == 1
+    assert "exactly 2 points" in _single_error(capsys)
+
+
+def test_unknown_family_names_every_family(capsys, square_file):
+    space = DescriptiveSpace(np.eye(2), feature_map_from_config({"name": "norm"}))
+    with pytest.raises(ValueError, match="unknown family 'nope', expected one of") as info:
+        check_axioms(space, "nope")
+    assert all(family in str(info.value) for family in FAMILIES)
+    assert run_command(["axioms", "check", "--family", "nope", "--space", str(square_file)]) == 1
+    assert _single_error(capsys) == f"error: {info.value}"
+
+
+@pytest.mark.parametrize(
+    "features, parameter",
+    [('{"name":"adjacency-count"}', "'width'"), ('{"name":"norm","dim":NaN}', "dim")],
+)
+def test_bad_feature_parameter_is_named(capsys, square_file, features, parameter):
+    argv = ["axioms", "check", "--family", "strong", "--space", str(square_file),
+            "--features", features]
+    assert run_command(argv) == 1
+    assert parameter in _single_error(capsys)
+
+
+def _cold(*argv):
+    """A fresh `python -W error -m proxitop.cli` run of argv, warnings fatal."""
+    src = os.path.dirname(os.path.dirname(proxitop.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    cmd = [sys.executable, "-W", "error", "-m", "proxitop.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, env=env, timeout=120)
+
+
+def test_cold_subprocess_matches_in_process_report(capsys):
+    argv = ["fixedpoint", "--map", "half"]
+    assert run_command(argv) == 0
+    proc = _cold(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out.encode()
+    bare = _cold()
+    assert bare.returncode == 2 and bare.stdout == b""
+    assert bare.stderr == b"error: missing subcommand (try --help)\n"

@@ -1,6 +1,7 @@
 """Descriptive nearness relations and region calculus."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,33 @@ def test_feature_rows_refuse_bad_values_naming_the_map(arity, evaluator, what):
 def test_feature_map_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         feature_map_from_config({"name": "norm", "bogus": 1})
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"name": "adjacency-count"}, "adjacency-count feature map needs parameter 'width'"),
+        ({"name": "adjacency-count", "width": 3}, "needs parameter 'height'"),
+        ({"name": "constant"}, "constant feature map needs parameter 'value'"),
+        ({"name": "norm", "tolerance": None}, "tolerance must be a number, not None"),
+        ({"name": "norm", "tolerance": "0.1"}, "tolerance must be a number"),
+        ({"name": "norm", "tolerance": True}, "tolerance must be a number"),
+        ({"name": "coords", "dim": 2.7}, "dim must be an integer, not 2.7"),
+        ({"name": "coords", "dim": True}, "dim must be an integer, not True"),
+        ({"name": "norm", "dim": math.nan}, "dim must be an integer, not nan"),
+        ({"name": "adjacency-count", "width": 3.0, "height": 3}, "width must be an integer"),
+        ({"name": "adjacency-count", "width": 3, "height": "3"}, "height must be an integer"),
+    ],
+)
+def test_feature_map_from_config_names_bad_parameters(config, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        feature_map_from_config(config)
+
+
+def test_feature_map_from_config_takes_integer_like_parameters():
+    fm = feature_map_from_config({"name": "coords", "dim": np.int64(2), "tolerance": 1})
+    assert (fm.arity, fm.match_tolerance) == (2, 1.0)
+    assert isinstance(fm.match_tolerance, float)
 
 
 def test_describe_region_adjacency_counts():
