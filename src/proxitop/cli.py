@@ -20,6 +20,7 @@ through this module's names, where bench/tracing.py wraps them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -235,6 +236,7 @@ def _cmd_fixedpoint(ns):
     return {"map": ns.map, "tol": ns.tol}, results, {}
 
 
+@functools.cache  # built once per process; parse_args gives a fresh Namespace per call
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="proxitop", description="proximity and antipodal search toolkit")
     sub = top.add_subparsers(dest="group")

@@ -8,7 +8,9 @@ Formats are deliberately rigid so runs are reproducible byte for byte:
 * OBJ: "v x y z" lines with 9 significant digits, then 1-based "f a b c d"
   quads, LF line endings;
 * reports: JSON with a schema_version field and sorted keys, no
-  timestamps, so identical inputs give identical bytes.
+  timestamps, so identical inputs give identical bytes; the bytes are those
+  of ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, made
+  by the stdlib's C encoder (see ``_json_text``).
 
 Tables are read and written whole. A CSV body is parsed by one numpy call
 into a checked float array; the line-by-line loop runs only when the bulk
@@ -36,6 +38,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -350,6 +353,69 @@ def export_mesh(mesh: MeshDocument, path) -> None:
             fh.write(lines.tobytes().translate(None, b"\0"))
 
 
+# The item separator of the one-line encoder below. With ensure_ascii, no
+# encoded string holds a raw control character, so "\x01" in its output
+# only ever follows an item.
+SEP = ",\x01"
+_encode = json.JSONEncoder(separators=(SEP, ": "), sort_keys=True, allow_nan=False).encode
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _scalars(items) -> bool:
+    return _SCALARS.issuperset(map(type, items))
+
+
+def _column(cells: list, pad: str) -> tuple | None:
+    """A record-table column as (texts, row slot) for values at indent pad, or None."""
+    if _scalars(cells):
+        return _encode(cells)[1:-1].split(SEP), "%s"
+    if {list, tuple}.issuperset(map(type, cells)) and all(cells) and _scalars(chain.from_iterable(cells)):
+        inner = pad + "  "
+        # rows end in "]", scalars never do: only a row boundary reads "],\n  ["
+        text = _encode(cells)[2:-2].replace(SEP, "," + inner)
+        return text.split("]," + inner + "["), "[" + inner + "%s" + pad + "]"
+    return None
+
+
+def _table(rows, pad: str) -> str | None:
+    """A record table, a list of dicts sharing one nonempty key set, at indent pad; else None."""
+    keys = rows[0].keys() if type(rows[0]) is dict else None
+    if not keys or not {dict}.issuperset(map(type, rows)) or not all(map(keys.__eq__, map(dict.keys, rows))):
+        return None
+    inner, field = pad + "  ", pad + "    "
+    columns = [_column([row[k] for row in rows], field) for k in sorted(keys)]
+    if None in columns:
+        return None
+    heads = _encode(dict.fromkeys(keys, 0))[1:-1].split(SEP)  # '"key": 0', sorted
+    slots = [h[:-1].replace("%", "%%") + slot for h, (_, slot) in zip(heads, columns)]
+    row = "{" + field + ("," + field).join(slots) + inner + "}"
+    items = [row % cells for cells in zip(*(texts for texts, _ in columns))]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _json_text(obj, pad: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) writes it at indent pad.
+
+    Only the layout is done here: every run of leaves is one call of the C
+    encoder, which json.dumps uses only when indent is None. A container of
+    scalars is encoded whole and its separators become newlines; a record
+    table is encoded one column at a time, each column of scalars or of
+    nonempty flat lists, and each row is filled into one %-template of the
+    sorted keys. Anything else is walked.
+    """
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return _encode(obj)
+    inner = pad + "  "
+    if _scalars(obj.values() if isinstance(obj, dict) else obj):
+        text = _encode(obj)
+        return text[0] + inner + text[1:-1].replace(SEP, "," + inner) + pad + text[-1]
+    if isinstance(obj, dict):
+        heads = _encode(dict.fromkeys(obj, 0))[1:-1].split(SEP)
+        items = [h[:-1] + _json_text(obj[k], inner) for h, k in zip(heads, sorted(obj))]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return _table(obj, pad) or "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + pad + "]"
+
+
 @dataclass(frozen=True)
 class ReportDocument:
     """Machine-readable run report with deterministic, standard-JSON serialization."""
@@ -369,7 +435,12 @@ class ReportDocument:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        """The report as indented, sorted-key, standard JSON with a final newline.
+
+        Byte-identical to ``json.dumps(self.to_dict(), sort_keys=True,
+        indent=2, allow_nan=False) + "\\n"``; ``_json_text`` writes it.
+        """
+        return _json_text(self.to_dict(), "\n") + "\n"
 
 
 def file_digest(path) -> str:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial, wraps
 from typing import Callable, Iterable
@@ -152,8 +153,9 @@ def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:
     (params width, height), "constant" (param value). "coords" and
     "even-coords" need the point dimension, either as a "dim" entry or via
     the dim argument. Optional "tolerance" sets the match tolerance. dim,
-    width and height must be integers and the tolerance a number; a missing
-    parameter is named.
+    width and height must be integers, the tolerance a number, and value a
+    finite number or a nonempty flat list of them (bools are refused); a
+    missing or bad parameter is named.
     """
     cfg = dict(config)
     name = cfg.pop("name", None)
@@ -180,7 +182,14 @@ def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:
             raise ValueError("adjacency-count needs positive grid dimensions")
         fm = FeatureMap(1, pointwise(partial(corner_region_descriptor, w, h)), tol, "adjacency-count")
     elif name == "constant":
-        value = np.atleast_1d(np.asarray(need("value"), dtype=float))
+        raw = need("value")
+        items = raw if isinstance(raw, (list, tuple)) else [raw]
+        if not items or not all(map(_finite_real, items)):
+            raise ValueError(
+                "constant feature map parameter 'value' must be a finite number"
+                f" or a nonempty flat list of them, not {raw!r}"
+            )
+        value = np.array(items, dtype=float)
         fm = FeatureMap(value.size, lambda P, v=value: np.tile(v, (len(P), 1)), tol, "constant")
     else:
         raise ValueError(f"unknown feature map name: {name!r}")
@@ -622,6 +631,13 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return operator.index(value)
+
+
+def _finite_real(value) -> bool:
+    """value is a real number, not a bool, with a finite float value."""
+    # the exact comparison also refuses NaN, inf and ints beyond the float range
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 def _count(value, name: str) -> int:

@@ -224,8 +224,7 @@ def torus_grid(params: TorusParams, nu: int, nv: int) -> tuple:
         raise ValueError("torus grid needs at least 3 samples per direction")
     u = 2.0 * np.pi * np.arange(nu) / nu
     v = 2.0 * np.pi * np.arange(nv) / nv
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    verts = bend_to_torus(params, uu, vv).reshape(-1, 3)
+    verts = bend_to_torus(params, u[:, None], v[None, :]).reshape(-1, 3)
     return verts, _quad_faces(nu, nv, wrap_rows=True)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import proxitop
 from proxitop import DescriptiveSpace, check_axioms, feature_map_from_config
-from proxitop.cli import run_command
+from proxitop.cli import build_parser, run_command
 from proxitop.proximity import FAMILIES
 
 TRACE = "t,x,z\n0.0,0.0,0.1\n0.5,1.0,0.2\n1.0,2.0,0.05\n1.5,3.1,0.3\n"
@@ -343,6 +343,28 @@ def test_handler_usage_error_exits_two(capsys, tmp_path, grid):
     assert not out.exists()
 
 
+def test_parser_is_built_once_and_survives_errors(capsys, square_file):
+    assert build_parser() is build_parser()
+    argv = ["axioms", "check", "--family", "strong", "--space", str(square_file), "--trials", "5"]
+    assert run_command(argv) == 0
+    first = capsys.readouterr().out
+    failing = [
+        ["axioms", "check", "--family", "strong", "--bogus"],  # parser error, mid-parse
+        ["axioms", "check", "--space", str(square_file)],  # a required flag missing
+        ["fixedpoint", "--map", "half", "--tol", "x"],  # a bad type
+        ["surface", "torus", "--c", "2", "--r", "1", "--grid", "3by3", "--out", "m.obj"],  # handler
+    ]
+    for bad in failing:
+        assert run_command(bad) == 2
+        _single_error(capsys)
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out == first
+    assert run_command(["axioms", "check", "--help"]) == 0
+    capsys.readouterr()
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_library_value_error_exits_one(capsys, square_file):
     assert run_command(["antipodes", "witness", "--points", str(square_file)]) == 1
     assert "exactly 2 points" in _single_error(capsys)
@@ -359,7 +381,12 @@ def test_unknown_family_names_every_family(capsys, square_file):
 
 @pytest.mark.parametrize(
     "features, parameter",
-    [('{"name":"adjacency-count"}', "'width'"), ('{"name":"norm","dim":NaN}', "dim")],
+    [
+        ('{"name":"adjacency-count"}', "'width'"),
+        ('{"name":"norm","dim":NaN}', "dim"),
+        ('{"name":"constant","value":"abc"}', "constant feature map parameter 'value'"),
+        ('{"name":"constant","value":null}', "constant feature map parameter 'value'"),
+    ],
 )
 def test_bad_feature_parameter_is_named(capsys, square_file, features, parameter):
     argv = ["axioms", "check", "--family", "strong", "--space", str(square_file),

@@ -1,6 +1,7 @@
 """File formats: trace/point CSV, OBJ meshes, JSON reports."""
 
 import csv
+import json
 import warnings
 
 import numpy as np
@@ -12,15 +13,18 @@ from proxitop import (
     MeshDocument,
     ReportDocument,
     TorusParams,
+    borsuk,
     export_mesh,
+    feature_map_from_config,
     file_digest,
+    geometry,
     load_points_csv,
     load_trace_csv,
     save_curve_csv,
     save_points_csv,
     torus_grid,
 )
-from proxitop.io import _OBJ_BLOCK, _face_lines, _parse_rows
+from proxitop.io import _OBJ_BLOCK, _face_lines, _json_text, _parse_rows
 
 
 def write(tmp_path, name, text):
@@ -444,6 +448,109 @@ def test_report_json_refuses_non_finite_floats():
         doc = ReportDocument(command="x", parameters={"tol": bad}, results={})
         with pytest.raises(ValueError):
             doc.to_json()
+
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+# characters the writer's layout leans on: its separator byte, the row
+# template's "%", the row split's "]" and "[", escapes and non-ASCII
+_TEXT = st.text(
+    st.sampled_from(["\x01", "%", "s", '"', "\\", "]", "[", ",", "\n", "é", "\u2603", "\U0001f600", "a"])
+    | st.characters(),
+    max_size=5,
+)
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _TEXT
+
+
+@st.composite
+def _record_table(draw, trees):
+    """Dicts sharing one key set; a column holds scalars of mixed types,
+    nonempty flat lists or anything, and one row may lose a key."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    cells = {
+        "scalars": _SCALAR,
+        "flat": st.lists(_SCALAR, min_size=1, max_size=3) | st.tuples(_SCALAR, _SCALAR),
+        "lists": st.lists(_SCALAR, max_size=2),
+        "trees": trees,
+    }
+    kinds = [draw(st.sampled_from(sorted(cells))) for _ in keys]
+    rows = [{k: draw(cells[kind]) for k, kind in zip(keys, kinds)} for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        del draw(st.sampled_from(rows))[draw(st.sampled_from(keys))]
+    return rows
+
+
+_TREES = st.recursive(
+    _SCALAR,
+    lambda trees: st.lists(trees, max_size=4)
+    | st.lists(trees, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, trees, max_size=4)
+    | _record_table(trees),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None)
+@given(obj=_TREES)
+def test_report_writer_matches_json_dumps(obj):
+    assert _json_text(obj, "\n") == _oracle(obj)
+    doc = ReportDocument(command="x", parameters={"p": obj}, results={"r": [obj, {"q": obj}]})
+    assert doc.to_json() == _oracle(doc.to_dict()) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {2: [1], 10: {}, -1: [{"a": 1}]},
+        {2.5: [1, [2]], 0.1: None},
+        {True: [[]], False: 0},
+        {None: {"k": [1, 2]}},
+        [{3: 1, 1: [1.5, "x"]}, {1: [2], 3: None}],
+        [{"a": []}, {"a": [1]}],
+        [{"a": [[1]]}, {"a": [[2]]}],
+        [{}, {}],
+        [[], [[]], {}],
+    ],
+)
+def test_report_writer_matches_json_dumps_on_edge_cases(obj):
+    assert _json_text(obj, "\n") == _oracle(obj)
+
+
+def test_report_writer_matches_json_dumps_on_bench_size_points_report():
+    # the benchmark's points job: 8,192 samples of S^2, every pair a table row
+    fm = feature_map_from_config({"name": "even-coords", "dim": 3, "tolerance": 0.0})
+    result = borsuk.but_search(borsuk.feature_descriptor(fm), grid=geometry.sphere_sample(2, 4096))
+    doc = ReportDocument(command="but search", parameters={"n": 2}, results=result.to_dict())
+    assert len(doc.to_dict()["results"]["pairs"]) == 4096
+    assert doc.to_json() == _oracle(doc.to_dict()) + "\n"
+
+
+_RECORDS = [{"a": 1, "b": [1.0, 2.0]}, {"a": 2, "b": [3.0, 4.0]}]
+_PLACES = [
+    lambda x: x,
+    lambda x: [1, x],
+    lambda x: {"k": x, "l": [{}]},
+    lambda x: _RECORDS + [{"a": x, "b": [1.0]}],
+    lambda x: _RECORDS + [{"a": 3, "b": [1.0, x]}],
+    lambda x: [{"a": [x]}, {"a": [[1]]}],
+]
+
+
+@pytest.mark.parametrize("place", range(len(_PLACES)))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_report_writer_refuses_non_finite_floats(place, bad):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _json_text(_PLACES[place](bad), "\n")
+
+
+@pytest.mark.parametrize("place", range(len(_PLACES)))
+def test_report_writer_refuses_unserialisable_values(place):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _json_text(_PLACES[place](object()), "\n")
+    with pytest.raises(TypeError, match="keys must be str"):
+        _json_text(_PLACES[place]({(1, 2): [1, {}]}), "\n")
 
 
 def test_file_digest_stable(tmp_path):

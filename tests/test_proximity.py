@@ -116,6 +116,24 @@ def test_feature_map_from_config_names_bad_parameters(config, message):
         feature_map_from_config(config)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["abc", None, True, [True, 1.0], [[1, 2]], [], [1.0, "2"], math.nan, [1.0, -math.inf], 10**400, {"x": 1}],
+)
+def test_constant_feature_map_refuses_bad_values(value):
+    message = "constant feature map parameter 'value' must be a finite number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        feature_map_from_config({"name": "constant", "value": value})
+
+
+@pytest.mark.parametrize(
+    "value, row", [(2, [2.0]), (-0.5, [-0.5]), ([1, 2.5], [1.0, 2.5]), ((np.int64(3),), [3.0])]
+)
+def test_constant_feature_map_takes_numbers_and_flat_lists(value, row):
+    fm = feature_map_from_config({"name": "constant", "value": value})
+    assert fm.rows([[0.0], [1.0]]).tolist() == [row, row]
+
+
 def test_feature_map_from_config_takes_integer_like_parameters():
     fm = feature_map_from_config({"name": "coords", "dim": np.int64(2), "tolerance": 1})
     assert (fm.arity, fm.match_tolerance) == (2, 1.0)
