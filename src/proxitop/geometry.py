@@ -23,6 +23,7 @@ Returned point lists are in canonical lexicographic order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -93,6 +94,13 @@ def value_table(values, shape: tuple, name: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} returned non-finite values, expected finite {shape}")
     return a
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; bools, floats and other non-integers are refused."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 def lexsorted(pts: np.ndarray) -> np.ndarray:
@@ -538,11 +546,11 @@ def sphere_sample(n: int, density: int) -> SphereGrid:
     n = 3: deterministic seeded unit directions in R^4, symmetrized the same
     way (a fixed construction, identical for identical arguments).
     """
+    n, d = _integer(n, "sphere dimension"), _integer(density, "density")
     if n not in (1, 2, 3):
         raise ValueError("sphere dimension must be 1, 2, or 3")
-    if density < 1:
+    if d < 1:
         raise ValueError("density must be at least 1")
-    d = int(density)
     if n == 1:
         ang = np.arange(2 * d) * (np.pi / d)
         pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)

@@ -12,10 +12,12 @@ Formats are deliberately rigid so runs are reproducible byte for byte:
   of ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, made
   by the stdlib's C encoder (see ``_json_text``).
 
-Tables are read and written whole. A CSV body is parsed by one numpy call
-into a checked float array; the line-by-line loop runs only when the bulk
-parse refuses a body, to name the first bad line and column, and loader
-errors carry 1-based line numbers.
+Tables are read and written whole. A CSV body cell is an ASCII float,
+``[+-]?([0-9]+[.]?[0-9]*|[.][0-9]+)([eE][+-]?[0-9]+)?``, with a finite
+value, padded by spaces and tabs; "\\r\\n" and "\\r" end a line as "\\n"
+does, and empty lines are skipped. Such a body is parsed by one numpy call
+into a checked float array. Any other body is refused, and the error names
+its first bad line (1-based) and column. The writers refuse non-finite values.
 
 OBJ lines are made ``_OBJ_BLOCK`` rows at a time by a numpy byte kernel:
 every 4-digit group is one uint32 gathered from a 10,000-entry table of
@@ -33,9 +35,7 @@ near-ties) is formatted by ``"%.9g"`` itself.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -47,9 +47,9 @@ SCHEMA_VERSION = "1"
 # Rows per OBJ block: bounds the kernel's index and word arrays to a few MB.
 _OBJ_BLOCK = 8192
 
-# ASCII separators numpy strips around a number like whitespace but float()
-# refuses; a body holding one goes to the line loop.
-_FLOAT_REFUSED_SPACE = "\x1c\x1d\x1e\x1f"
+# The characters of a CSV body cell: an ASCII float, padded by spaces and
+# tabs. Over them, np.loadtxt and float() read the same grammar.
+_NUMBER = b"0123456789+-.eE \t"
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -64,83 +64,85 @@ __all__ = [
 ]
 
 
-def _parse_float(raw: str, line: int, col: str) -> float:
+def _within(text: str, chars: bytes) -> bool:
+    """text holds only the given ASCII characters."""
+    return text.isascii() and not text.encode().translate(None, chars)
+
+
+def _read_table(path) -> tuple:
+    """A CSV file read once in text mode, so "\\r\\n" and "\\r" end lines: (header cells, body)."""
+    with open(path) as fh:
+        header, _, body = fh.read().partition("\n")
+    return [c.strip(" \t") for c in header.split(",")], body
+
+
+def _cell_error(raw: str) -> str | None:
+    """Why a body cell is refused, or None for a finite ASCII float; nan, inf and infinity are not finite."""
     try:
         v = float(raw)
     except ValueError:
-        raise ValueError(f"line {line}: column {col} is not a number: {raw!r}") from None
-    if not np.isfinite(v):
-        raise ValueError(f"line {line}: column {col} is not finite: {raw!r}")
-    return v
+        return "is not a number"
+    if not _within(raw, _NUMBER + b"afintyAFINTY"):
+        return "is not a number"
+    return None if np.isfinite(v) else "is not finite"
 
 
-def _open_table(path) -> tuple:
-    """Read a CSV file once: (header row or None, reader over the body rows, body lines)."""
-    with open(path, "r", newline="") as fh:
-        lines = io.StringIO(fh.read(), newline="").readlines()
-    rows = csv.reader(lines)
-    header = next(rows, None)
-    return header, rows, lines[rows.line_num :]
-
-
-def _parse_rows(rows, names: list, increasing: bool) -> np.ndarray:
-    """The line-by-line parse; it exists only to name the first bad line and column."""
-    out = []
-    for k, row in enumerate(rows, start=2):
-        if not row:
+def _bad_line(body: str, names: list, increasing: bool) -> ValueError:
+    """The error naming a refused body's first bad line: its width, a cell or a falling first column."""
+    last = -np.inf
+    for k, line in enumerate(body.split("\n"), start=2):
+        if not line:
             continue
-        if len(row) != len(names):
-            raise ValueError(f"line {k}: expected {len(names)} columns, got {len(row)}")
-        vals = [_parse_float(c, k, name) for c, name in zip(row, names)]
-        if increasing and out and vals[0] <= out[-1][0]:
-            raise ValueError(
-                f"line {k}: {names[0]} must increase strictly ({vals[0]} after {out[-1][0]})"
-            )
-        out.append(vals)
-    return np.array(out, dtype=float).reshape(-1, len(names))
+        cells = line.split(",")
+        if len(cells) != len(names):
+            return ValueError(f"line {k}: expected {len(names)} columns, got {len(cells)}")
+        for raw, name in zip(cells, names):
+            if why := _cell_error(raw):
+                return ValueError(f"line {k}: column {name} {why}: {raw!r}")
+        t = float(cells[0])
+        if increasing and t <= last:
+            return ValueError(f"line {k}: {names[0]} must increase strictly ({t} after {last})")
+        last = t
+    return ValueError("the table body was refused, but no line of it is bad")
 
 
-def _parse_table(rows, body: list, names: list, increasing: bool) -> np.ndarray:
-    """Parse a CSV body into an (m, len(names)) float array.
+def _parse_table(body: str, names: list, increasing: bool) -> np.ndarray:
+    """Parse a CSV body into a checked (m, len(names)) float array, or raise at its first bad line.
 
-    One ``np.loadtxt`` call parses the whole body; its result is accepted
-    only with the expected width, all values finite and, if ``increasing``,
-    a strictly increasing first column. Anything else goes to the line loop,
-    which gives the result or the error the loader has always given: it
-    still accepts what numpy does not parse (quoted fields, ``1_000``) and
-    names the first bad line otherwise.
+    Only a body of number characters, commas and newlines reaches the one
+    ``np.loadtxt`` call, and its result is accepted only with the expected
+    width, all values finite and, if ``increasing``, a rising first column.
     """
-    text = "".join(body)
-    if text.strip() and not any(c in text for c in _FLOAT_REFUSED_SPACE):
+    if _within(body, _NUMBER + b",\n"):
+        if not body.strip("\n"):
+            return np.empty((0, len(names)))
         try:
-            a = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+            a = np.loadtxt(body.split("\n"), delimiter=",", comments=None, dtype=float, ndmin=2)
         except ValueError:
-            a = None
-        if (
-            a is not None
-            and a.shape[1] == len(names)
-            and np.isfinite(a).all()
-            and (not increasing or (a[1:, 0] > a[:-1, 0]).all())
-        ):
+            a = np.empty((0, 0))
+        good = a.shape[1] == len(names) and np.isfinite(a).all()
+        if good and (not increasing or (a[1:, 0] > a[:-1, 0]).all()):
             return a
-    return _parse_rows(rows, names, increasing)
+    raise _bad_line(body, names, increasing)
 
 
 def load_trace_csv(path) -> np.ndarray:
     """Read an EEG trace CSV: header t,x,z then samples with increasing t.
 
     Returns the checked (m, 3) float array of (t, x, z) rows; m is 0 for a
-    header-only file. The body is parsed in one numpy call; the line loop
-    runs only to name the first bad line and column in the error.
+    header-only file. A file outside the format is refused at its first bad line.
     """
-    header, rows, body = _open_table(path)
-    if header is None or [c.strip() for c in header] != ["t", "x", "z"]:
+    header, body = _read_table(path)
+    if header != ["t", "x", "z"]:
         raise ValueError("line 1: trace header must be exactly 't,x,z'")
-    return _parse_table(rows, body, ["t", "x", "z"], increasing=True)
+    return _parse_table(body, header, increasing=True)
 
 
 def _write_rows(path, header: list, a: np.ndarray) -> None:
-    """Write a header line and one row per point, floats as shortest round-trip repr."""
+    """Write a header line and one row per point as shortest round-trip floats; a non-finite row is refused."""
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} is not finite: {a[bad[0]].tolist()}")
     lines = [",".join(header)] + [",".join(map(repr, p)) for p in a.tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -157,17 +159,12 @@ def save_curve_csv(path, points) -> None:
 def load_points_csv(path) -> np.ndarray:
     """Read a point set CSV with header x1,...,xn; returns the checked (m, n) array.
 
-    m is 0 for a header-only file. The body is parsed in one numpy call;
-    the line loop runs only to name the first bad line and column.
+    m is 0 for a header-only file; a file outside the format is refused at its first bad line.
     """
-    header, rows, body = _open_table(path)
-    if header is None:
-        raise ValueError("line 1: empty file, expected a header x1,...,xn")
-    header = [c.strip() for c in header]
-    n = len(header)
-    if n == 0 or header != [f"x{i+1}" for i in range(n)]:
+    header, body = _read_table(path)
+    if header != [f"x{i+1}" for i in range(len(header))]:
         raise ValueError("line 1: point header must be x1,...,xn")
-    return _parse_table(rows, body, header, increasing=False)
+    return _parse_table(body, header, increasing=False)
 
 
 def save_points_csv(path, points) -> None:

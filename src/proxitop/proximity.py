@@ -41,7 +41,6 @@ triple when the universe has at most EXHAUSTIVE_LIMIT points.
 from __future__ import annotations
 
 import numbers
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial, wraps
@@ -52,6 +51,7 @@ import numpy as np
 from .geometry import (
     POINT_TOL,
     Region,
+    _integer,
     as_points,
     corner_region_descriptor,
     lexsorted,
@@ -624,13 +624,6 @@ def _sample_labeled(draws: _Draws, m: int):
             i += 1
     draws.pos = i
     return mask, imask
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; bools, floats and other non-integers are refused."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return operator.index(value)
 
 
 def _finite_real(value) -> bool:

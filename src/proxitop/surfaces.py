@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import StringPath
+from .geometry import StringPath, _integer
 
 __all__ = [
     "CylinderParams",
@@ -219,7 +219,7 @@ def torus_grid(params: TorusParams, nu: int, nv: int) -> tuple:
     Returns (vertices, faces): nu*nv vertices in row-major (ring, tube)
     order and nu*nv wrapping quads with 0-based indices.
     """
-    nu, nv = int(nu), int(nv)
+    nu, nv = _integer(nu, "nu"), _integer(nv, "nv")
     if nu < 3 or nv < 3:
         raise ValueError("torus grid needs at least 3 samples per direction")
     u = 2.0 * np.pi * np.arange(nu) / nu
@@ -243,7 +243,7 @@ def trace_to_torus_band(params: TorusParams, trace, tube_strings: int = 16) -> t
         raise ValueError("trace must be an (m, 2) array with m >= 2")
     if not np.all(np.isfinite(a)):
         raise ValueError("trace samples must be finite")
-    k = int(tube_strings)
+    k = _integer(tube_strings, "tube_strings")
     if k < 3:
         raise ValueError("tube_strings must be at least 3")
     x, z = a[:, 0], a[:, 1]

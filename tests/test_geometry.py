@@ -483,11 +483,11 @@ def test_circle_grid_density_two_exact():
     assert g.antipodal_pairs().tolist() == [[0, 2], [1, 3]]
 
 
-@pytest.mark.parametrize("n,density", [(1, 5), (1, 32), (2, 16), (2, 33), (3, 10)])
+@pytest.mark.parametrize("n,density", [(1, 5), (1, 32), (2, 16), (2, 33), (3, 10), (np.int64(2), np.uint8(3))])
 def test_sphere_sample_properties(n, density):
     g = sphere_sample(n, density)
     assert g.size == 2 * density
-    assert g.dimension == n
+    assert g.dimension == n and type(g.dimension) is int
     assert g.ambient_dimension == n + 1
     norms = np.linalg.norm(g.samples, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
@@ -496,6 +496,12 @@ def test_sphere_sample_properties(n, density):
     assert np.all(idx[idx] == np.arange(g.size))
     assert np.all(idx != np.arange(g.size))
     assert np.array_equal(g.samples[idx], -g.samples)
+
+
+@pytest.mark.parametrize("n, density", [(1, 2.5), (1, True), (2.0, 3), (True, 3), ("1", 3), (1, None)])
+def test_sphere_sample_refuses_counts_that_are_not_integers(n, density):
+    with pytest.raises(ValueError, match="must be an integer"):
+        sphere_sample(n, density)
 
 
 def test_sphere_grid_validates_involution():

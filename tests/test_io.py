@@ -1,7 +1,8 @@
 """File formats: trace/point CSV, OBJ meshes, JSON reports."""
 
-import csv
 import json
+import math
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from proxitop import (
     save_points_csv,
     torus_grid,
 )
-from proxitop.io import _OBJ_BLOCK, _face_lines, _json_text, _parse_rows
+from proxitop.io import _OBJ_BLOCK, _face_lines, _json_text
 
 
 def write(tmp_path, name, text):
@@ -113,18 +114,21 @@ def test_whitespace_only_body_line_is_refused(tmp_path):
         load_points_csv(p)
 
 
-# -- bulk table reader against the line loop --------------------------------
+# -- table reader against the format's spec ---------------------------------
 
-# Whitespace that may pad a number, from none to characters that only one
-# of float() and numpy strips (the ASCII separators \x1c-\x1f).
+# Whitespace that may pad a number, from none to characters the format
+# refuses but float() or numpy strip (\x1c-\x1f are stripped by numpy only).
 _PADS = [
     [""],
     ["", " "],
+    ["", " ", "\t"],
     ["", " ", "\t", "\x0b", "\x0c", "\xa0", "\u2028"],
     ["", "\x1c", "\x1f"],
 ]
-_BAD_FIELDS = ["", "   ", '"1.5"', "#", "1 # c", "1_000", "nan", "inf", "-inf",
-               "1e400", "0x10", "1d5", "\u0661", "1,"]
+# fields at the edges of the grammar, the first six inside it
+_ODD_FIELDS = ["5.", ".5", "+1E-3", "-0", "007", "1e+0",
+               "", "   ", '"1.5"', "#", "1 # c", "1_000", "nan", "inf", "-inf", "Infinity",
+               "1e400", "0x10", "1d5", "\u0661", "1,", "1e", "e5", ".", "+", "1.2.3", "--1", "1 2"]
 
 
 @st.composite
@@ -152,7 +156,7 @@ def _csv_case(draw, kind):
         elif what == "field":
             if lines[i]:
                 j = draw(st.integers(0, len(lines[i]) - 1))
-                lines[i][j] = draw(st.sampled_from(_BAD_FIELDS))
+                lines[i][j] = draw(st.sampled_from(_ODD_FIELDS))
         elif what == "drop":
             lines[i] = lines[i][:-1]
         elif what == "add":
@@ -167,7 +171,7 @@ def _csv_case(draw, kind):
         text_lines.insert(at, draw(st.sampled_from(["", "", "", " ", "\t"])))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     end = draw(st.sampled_from([eol, ""]))
-    return names, ",".join(names) + eol + eol.join(text_lines) + (end if text_lines else "")
+    return ",".join(names) + eol + eol.join(text_lines) + (end if text_lines else "")
 
 
 def _outcome(fn, *args):
@@ -178,21 +182,57 @@ def _outcome(fn, *args):
     return ("ok", a.shape, a.dtype.str, a.tobytes())
 
 
-def _line_loop(path, names, increasing):
-    with open(path, "r", newline="") as fh:
-        rows = csv.reader(fh)
-        next(rows)
-        return _parse_rows(rows, names, increasing)
+# The format, written out independently of proxitop.io: a cell is an ASCII
+# float padded by spaces and tabs, and is named not finite when it overflows
+# or spells nan, inf or infinity.
+_ASCII_FLOAT = re.compile(r"[ \t]*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?[ \t]*", re.ASCII)
+_NON_FINITE_WORD = re.compile(r"[ \t]*[+-]?(nan|inf|infinity)[ \t]*", re.ASCII | re.IGNORECASE)
+_HEADERS = {
+    "trace": (lambda n: ["t", "x", "z"], "line 1: trace header must be exactly 't,x,z'"),
+    "points": (lambda n: [f"x{i+1}" for i in range(n)], "line 1: point header must be x1,...,xn"),
+}
+
+
+def _spec_line_loop(path, kind):
+    """The table in the file at path, or the error of its first bad line."""
+    with open(path, newline="") as fh:
+        header, *lines = re.split(r"\r\n|\r|\n", fh.read())
+    names = [c.strip(" \t") for c in header.split(",")]
+    want, header_error = _HEADERS[kind]
+    if names != want(len(names)):
+        raise ValueError(header_error)
+    rows = []
+    for k, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ValueError(f"line {k}: expected {len(names)} columns, got {len(cells)}")
+        for cell, name in zip(cells, names):
+            number = _ASCII_FLOAT.fullmatch(cell)
+            if _NON_FINITE_WORD.fullmatch(cell) or (number and math.isinf(float(cell))):
+                raise ValueError(f"line {k}: column {name} is not finite: {cell!r}")
+            if not number:
+                raise ValueError(f"line {k}: column {name} is not a number: {cell!r}")
+        row = [float(cell) for cell in cells]
+        if kind == "trace" and rows and row[0] <= rows[-1][0]:
+            raise ValueError(f"line {k}: {names[0]} must increase strictly ({row[0]} after {rows[-1][0]})")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, len(names))
 
 
 _TRACE_CASES = {
     "crlf": "t,x,z\r\n0,1.5,2\r\n1,2.5,3\r\n",
+    "bare cr": "t,x,z\r0,1.5,2\r1,2.5,3\r",
     "blank lines": "t,x,z\n\n0,1.5,2\n\n1,2.5,3\n\n",
+    "space and tab pads": "t , x,\tz\n 0 ,\t1.5, 2\n1 , 2.5 ,3\t\n",
     "padded numbers": "t,x,z\n 0 ,\t1.5, 2\n1 , 2.5 ,3\x0c\n",
     "whitespace-only line": "t,x,z\n0,1.5,2\n \n1,2.5,3\n",
     "quoted field": 't,x,z\n0,"1.5",2\n1,2.5,3\n',
+    "quoted header": '"t",x,z\n0,1.5,2\n1,2.5,3\n',
     "hash": "t,x,z\n0,1.5,2 # note\n1,2.5,3\n",
     "underscore": "t,x,z\n0,1_000,2\n1,2.5,3\n",
+    "arabic-indic digit": "t,x,z\n0,\u0661,2\n1,2.5,3\n",
     "nan": "t,x,z\n0,nan,2\n1,2.5,3\n",
     "inf": "t,x,z\n0,1.5,-inf\n1,2.5,3\n",
     "overflow": "t,x,z\n0,1.5,1e400\n1,2.5,3\n",
@@ -202,6 +242,7 @@ _TRACE_CASES = {
     "falling t": "t,x,z\n1,1.5,2\n0,2.5,3\n",
     "separator pad": "t,x,z\n0,1.5,2\x1c\n1,2.5,3\n",
 }
+_TRACE_ACCEPTED = {"crlf", "bare cr", "blank lines", "space and tab pads"}
 
 
 @pytest.mark.parametrize("name", sorted(_TRACE_CASES))
@@ -210,10 +251,9 @@ def test_trace_reader_cases_match_line_loop(tmp_path, name):
     with open(path, "w", newline="") as fh:
         fh.write(_TRACE_CASES[name])
     got = _outcome(load_trace_csv, path)
-    assert got == _outcome(_line_loop, path, ["t", "x", "z"], True)
-    if name in ("crlf", "blank lines", "padded numbers", "quoted field", "underscore"):
-        want = [[0.0, 1000.0 if name == "underscore" else 1.5, 2.0], [1.0, 2.5, 3.0]]
-        assert got[0] == "ok" and load_trace_csv(path).tolist() == want
+    assert got == _outcome(_spec_line_loop, path, "trace")
+    if name in _TRACE_ACCEPTED:
+        assert got[0] == "ok" and load_trace_csv(path).tolist() == [[0.0, 1.5, 2.0], [1.0, 2.5, 3.0]]
     else:
         assert got[0] == "error"
 
@@ -225,12 +265,16 @@ def test_trace_reader_cases_match_line_loop(tmp_path, name):
         ("x1,x2\n1,2,3\n4,5,6\n", "line 2: expected 2 columns, got 3"),
         ("x1,x2,x3\n1,2\n4,5\n", "line 2: expected 3 columns, got 2"),
         ("x1,x2\n1,2\ninf,5\n", "line 3: column x1 is not finite: 'inf'"),
+        ('x1,x2\n\u0661,1_000\n"2",3\n', "line 2: column x1 is not a number: '\u0661'"),
+        ('x1,x2\n1,1_000\n"2",3\n', "line 2: column x2 is not a number: '1_000'"),
+        ('x1,x2\n1,2\n"2",3\n', "line 3: column x1 is not a number: '\"2\"'"),
+        ("", "line 1: point header must be x1,...,xn"),
     ],
 )
 def test_point_reader_cases(tmp_path, text, want):
     p = write(tmp_path, "pts.csv", text)
     if isinstance(want, str):
-        with pytest.raises(ValueError, match=f"^{want}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_points_csv(p)
     else:
         got = load_points_csv(p)
@@ -243,17 +287,50 @@ def test_table_reader_matches_line_loop(kind, tmp_path_factory):
     load = load_trace_csv if kind == "trace" else load_points_csv
 
     @settings(max_examples=400, deadline=None)
-    @given(case=_csv_case(kind))
-    def check(case):
-        names, text = case
+    @given(text=_csv_case(kind))
+    def check(text):
         with open(path, "w", newline="") as fh:
             fh.write(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _outcome(load, path)
-        assert got == _outcome(_line_loop, path, names, kind == "trace"), repr(text)
+        assert got == _outcome(_spec_line_loop, path, kind), repr(text)
 
     check()
+
+
+_FINITE_TABLE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(
+    width=st.integers(1, 4),
+    values=st.lists(st.lists(_FINITE_TABLE, min_size=4, max_size=4), min_size=1, max_size=6),
+    curve=st.booleans(),
+)
+def test_written_tables_load_back_bit_exact(tmp_path_factory, width, values, curve):
+    a = np.array(values)[:, : 3 if curve else width]
+    p = tmp_path_factory.getbasetemp() / "written.csv"
+    if curve:
+        # a curve body is a point body under another header
+        save_curve_csv(p, a)
+        text = p.read_text()
+        assert text.startswith("x,y,z\n")
+        p.write_text("x1,x2,x3\n" + text[len("x,y,z\n") :])
+    else:
+        save_points_csv(p, a)
+    back = load_points_csv(p)
+    assert back.shape == a.shape and back.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("save", [save_points_csv, save_curve_csv])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_writers_refuse_non_finite_values_before_opening_the_file(tmp_path, save, bad):
+    p = tmp_path / "never.csv"
+    rows = [[0.0, 1.0, 2.0], [3.0, bad, 5.0]]
+    with pytest.raises(ValueError, match=r"^row 1 is not finite: \[3\.0, (nan|inf|-inf), 5\.0\]$"):
+        save(p, rows)
+    assert not p.exists()
 
 
 # -- curve CSV --------------------------------------------------------------

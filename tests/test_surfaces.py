@@ -204,6 +204,29 @@ def test_torus_grid_rejects_tiny_grids():
         torus_grid(TorusParams(2.0, 1.0), 2, 8)
 
 
+@pytest.mark.parametrize("nu, nv", [(3.9, 4), (3, 4.2), (True, 4), (3, "4")])
+def test_torus_grid_refuses_counts_that_are_not_integers(nu, nv):
+    with pytest.raises(ValueError, match="must be an integer"):
+        torus_grid(TorusParams(2.0, 1.0), nu, nv)
+
+
+@pytest.mark.parametrize("tube_strings", [3.7, 16.0, True, "16"])
+def test_trace_band_refuses_tube_strings_that_are_not_integers(tube_strings):
+    trace = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -0.5]])
+    with pytest.raises(ValueError, match="tube_strings must be an integer"):
+        trace_to_torus_band(TorusParams(2.0, 1.0), trace, tube_strings=tube_strings)
+
+
+def test_mesh_builders_take_numpy_integer_counts():
+    tp = TorusParams(2.0, 1.0)
+    trace = [[0.0, 0.0], [1.0, 1.0]]
+    for got, want in [
+        (torus_grid(tp, np.int32(3), np.int64(4)), torus_grid(tp, 3, 4)),
+        (trace_to_torus_band(tp, trace, np.int16(5)), trace_to_torus_band(tp, trace, 5)),
+    ]:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_trace_band_lies_on_torus():
     tp = TorusParams(2.0, 1.0)
     trace = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -0.5], [3.0, 0.2], [4.0, 0.0]])
