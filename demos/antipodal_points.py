@@ -12,8 +12,8 @@ import numpy as np
 from proxitop import antipodal_point_witness, petty_antipodal_set
 
 # a concrete witness: the planes are perpendicular to the connecting segment
-w = antipodal_point_witness([0.0, 0.0], [3.0, 4.0])
-print("normal:", w[0].normal, " offsets:", w[0].offset, w[1].offset)
+normal, offset_p, offset_q = antipodal_point_witness([0.0, 0.0], [3.0, 4.0])
+print("normal:", normal, " offsets:", offset_p, offset_q)
 
 # coincident points admit no witness
 print("degenerate pair:", antipodal_point_witness([1.0, 1.0], [1.0, 1.0]))

@@ -1,80 +1,11 @@
-"""Descriptive proximity spaces, antipodal search, and surface lifting."""
+"""Descriptive proximity spaces, antipodal search, and surface lifting.
 
-from .borsuk import (
-    BallCheck,
-    BallRangeError,
-    ButPair,
-    ButResult,
-    RefinementBudgetError,
-    WiredFriendResult,
-    but_search,
-    feature_descriptor,
-    fixed_point_search,
-    shape_descriptor,
-    string_shape_features,
-    wired_friend_pipeline,
-)
-from .geometry import (
-    Hyperplane,
-    Region,
-    SphereGrid,
-    StringPath,
-    Worldsheet,
-    antipodal_point_witness,
-    corner_region_descriptor,
-    petty_antipodal_set,
-    polyline_min_distance,
-    sphere_sample,
-    strings_antipodal,
-    worldsheet_cover_check,
-    worldsheets_antipodal,
-)
-from .io import (
-    MeshDocument,
-    ReportDocument,
-    export_mesh,
-    file_digest,
-    load_points_csv,
-    load_trace_csv,
-    save_curve_csv,
-    save_points_csv,
-)
-from .proximity import (
-    FAMILIES,
-    FAMILY_DESCRIPTIVE,
-    FAMILY_DESCRIPTIVE_STRONG,
-    FAMILY_STRONG,
-    AxiomReport,
-    DescriptiveSpace,
-    FeatureMap,
-    SpcReport,
-    check_axioms,
-    describe_region,
-    descriptive_intersection,
-    dnear,
-    feature_map_from_config,
-    map_region,
-    pointwise,
-    random_space,
-    region_union,
-    sample_region_pairs,
-    sn,
-    snd,
-    spc_check,
-)
-from .surfaces import (
-    CylinderParams,
-    TorusParams,
-    TwistSpec,
-    bend_to_torus,
-    eeg_twist_lift,
-    roll_worldsheet,
-    sheet_to_torus,
-    torus_grid,
-    torus_measures,
-    torus_residual,
-    trace_to_torus_band,
-    twist_height,
-)
+The public names are exactly those in the five modules' __all__ lists."""
+
+from .borsuk import *
+from .geometry import *
+from .io import *
+from .proximity import *
+from .surfaces import *
 
 __version__ = "0.1.0"

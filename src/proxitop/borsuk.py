@@ -26,6 +26,8 @@ from .geometry import (
     SphereGrid,
     StringPath,
     Worldsheet,
+    _count,
+    _integer,
     as_point,
     as_points,
     strings_antipodal,
@@ -37,7 +39,6 @@ from .proximity import FeatureMap, pointwise
 __all__ = [
     "ButPair",
     "ButResult",
-    "BallCheck",
     "BallRangeError",
     "RefinementBudgetError",
     "WiredFriendResult",
@@ -247,26 +248,6 @@ class RefinementBudgetError(RuntimeError):
     """Grid refinement ended before reaching the target residual."""
 
 
-@dataclass(frozen=True)
-class BallCheck:
-    """Closed ball membership test."""
-
-    radius: float
-    center: np.ndarray
-
-    def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError("ball radius must be positive")
-        object.__setattr__(self, "center", as_point(self.center))
-
-    @classmethod
-    def unit(cls, dimension: int) -> "BallCheck":
-        return cls(1.0, np.zeros(dimension))
-
-    def contains(self, p, tol: float = 0.0) -> bool:
-        return bool(np.linalg.norm(as_point(p) - self.center) <= self.radius + tol)
-
-
 def fixed_point_search(
     f: Callable[[np.ndarray], np.ndarray],
     dimension: int,
@@ -292,18 +273,19 @@ def fixed_point_search(
     Raises BallRangeError when f leaves the ball at any sampled point, and
     RefinementBudgetError when max_refinements rounds end above tol.
     """
-    n = int(dimension)
+    n = _integer(dimension, "dimension")
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
+    rounds = _count(max_refinements, "max_refinements")
+    grid_points = _integer(grid_points, "grid_points")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
 
     center = np.zeros(n)
     halfwidth = 1.0
-    best_res = np.inf
-    for _ in range(int(max_refinements) + 1):
+    for _ in range(rounds + 1):
         lo = np.maximum(center - halfwidth, -1.0)
         hi = np.minimum(center + halfwidth, 1.0)
         axes = [np.linspace(lo[k], hi[k], grid_points) for k in range(n)]
@@ -333,7 +315,7 @@ def fixed_point_search(
         center = best
         halfwidth = min(1.0, halfwidth * 4.0) if pinned else halfwidth / 10.0
     raise RefinementBudgetError(
-        f"residual {best_res:.3e} above tol {tol:.3e} after {max_refinements} refinements"
+        f"residual {best_res:.3e} above tol {tol:.3e} after {rounds} refinements"
     )
 
 
@@ -383,11 +365,9 @@ def wired_friend_pipeline(s: StringPath) -> WiredFriendResult:
     """Describe a string and place the description inside the unit ball.
 
     The shape silhouette is renormalized by g(v) = v / (1 + ||v||), which
-    lands strictly inside the unit ball for every finite silhouette; ball_ok
-    records that check on the actual value.
+    lands strictly inside the unit ball for every finite silhouette (others are
+    refused); ball_ok records that check on the actual value.
     """
-    shape = string_shape_features(s)
+    shape = value_table(string_shape_features(s), (4,), "string_shape_features")
     g = shape / (1.0 + np.linalg.norm(shape))
-    ball = BallCheck.unit(4)
-    ball_ok = ball.contains(g) and bool(np.linalg.norm(g) < 1.0)
-    return WiredFriendResult(shape, g, ball_ok)
+    return WiredFriendResult(shape, g, bool(np.linalg.norm(g) < 1.0))

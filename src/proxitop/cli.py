@@ -105,7 +105,7 @@ def _cmd_antipodes_witness(ns):
         raise ValueError(f"witness needs exactly 2 points, got {pts.shape[0]}")
     w = geometry.antipodal_point_witness(pts[0], pts[1])
     if w is not None:
-        w = {"normal": [float(c) for c in w[0].normal], "offsets": [w[0].offset, w[1].offset]}
+        w = {"normal": [float(c) for c in w[0]], "offsets": list(w[1:])}
     return {"points": ns.points}, {"witness": w}, {"points": ns.points}
 
 

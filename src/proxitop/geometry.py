@@ -35,7 +35,6 @@ UNIT_TOL = 1e-12
 __all__ = [
     "POINT_TOL",
     "UNIT_TOL",
-    "Hyperplane",
     "StringPath",
     "Region",
     "Worldsheet",
@@ -103,6 +102,14 @@ def _integer(value, name: str) -> int:
     return operator.index(value)
 
 
+def _count(value, name: str) -> int:
+    """value as a nonnegative int: refused as by _integer, and when negative."""
+    value = _integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
+
+
 def lexsorted(pts: np.ndarray) -> np.ndarray:
     """Rows of pts sorted lexicographically by coordinates."""
     a = np.asarray(pts, dtype=float)
@@ -129,7 +136,7 @@ def corner_region_descriptor(width: int, height: int, cell) -> float:
     Corners score 2, edge cells 3, interior cells 4 (on grids with both
     sides at least 2). Out-of-range cells are an error.
     """
-    w, h = int(width), int(height)
+    w, h = _integer(width, "grid width"), _integer(height, "grid height")
     if w < 1 or h < 1:
         raise ValueError("grid dimensions must be positive")
     i, j = int(round(cell[0])), int(round(cell[1]))
@@ -141,32 +148,6 @@ def corner_region_descriptor(width: int, height: int, cell) -> float:
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Oriented hyperplane {x : normal . x = offset}.
-
-    The normal is rescaled to unit length on construction, with the offset
-    scaled along so the point set is unchanged.
-    """
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = as_point(self.normal)
-        scale = float(np.linalg.norm(n))
-        if scale <= UNIT_TOL:
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "normal", n / scale)
-        object.__setattr__(self, "offset", float(self.offset) / scale)
-
-    def signed_distance(self, p) -> float:
-        return float(self.normal @ as_point(p) - self.offset)
-
-    def contains(self, p, tol: float = POINT_TOL) -> bool:
-        return abs(self.signed_distance(p)) <= tol
 
 
 @dataclass(frozen=True)
@@ -243,9 +224,6 @@ class Region:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
-
-    def interior_points(self) -> np.ndarray:
-        return self.points[self.interior]
 
 
 @dataclass(frozen=True)
@@ -326,21 +304,27 @@ class SphereGrid:
 
 
 def antipodal_point_witness(p, q, tol: float = POINT_TOL):
-    """Disjoint parallel hyperplanes through p and q, or None if p = q.
+    """Hyperplanes normal . x = offset_p, offset_q through p and q, or None if p = q.
 
-    The shared unit normal is (q - p)/|q - p|; each plane passes through its
-    point, so the pair is a strict antipodality witness in the sense that the
-    planes never meet.
+    normal is the unit vector (q - p)/|q - p|, so offset_p < offset_q and the
+    planes never meet: a strict antipodality witness. p = q means |q - p| <= tol,
+    for a finite tol >= 0; a |q - p| that overflows is refused.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and nonnegative")
     a, b = as_point(p), as_point(q)
-    if a.shape != b.shape:
-        raise ValueError("witness endpoints must share a dimension")
-    diff = b - a
-    dist = np.linalg.norm(diff)
+    _measurable(a.size, b.size)
+    with np.errstate(over="ignore"):
+        diff = b - a
+        dist = np.linalg.norm(diff)
+    if not np.isfinite(dist):
+        raise ValueError("witness endpoints are too far apart: |q - p| overflows")
     if dist <= tol:
         return None
     v = diff / dist
-    return Hyperplane(v, float(v @ a)), Hyperplane(v, float(v @ b))
+    # |v| is 1 only up to rounding; dividing by it once more is part of the pinned output
+    scale = float(np.linalg.norm(v))
+    return v / scale, float(v @ a) / scale, float(v @ b) / scale
 
 
 def _petty_directions(pts: np.ndarray) -> np.ndarray:

@@ -51,6 +51,7 @@ import numpy as np
 from .geometry import (
     POINT_TOL,
     Region,
+    _count,
     _integer,
     as_points,
     corner_region_descriptor,
@@ -631,14 +632,6 @@ def _finite_real(value) -> bool:
     # the exact comparison also refuses NaN, inf and ints beyond the float range
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return real and abs(value) <= sys.float_info.max
-
-
-def _count(value, name: str) -> int:
-    """value as a nonnegative int: refused as by _integer, and when negative."""
-    value = _integer(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return value
 
 
 def check_axioms(

@@ -22,7 +22,6 @@ import numpy as np
 from .geometry import StringPath, _integer
 
 __all__ = [
-    "CylinderParams",
     "TorusParams",
     "TwistSpec",
     "roll_worldsheet",
@@ -35,24 +34,6 @@ __all__ = [
     "torus_grid",
     "trace_to_torus_band",
 ]
-
-
-@dataclass(frozen=True)
-class CylinderParams:
-    """Right circular cylinder: radius and height, both positive."""
-
-    radius: float
-    height: float
-
-    def __post_init__(self):
-        if not (self.radius > 0 and self.height > 0):
-            raise ValueError("cylinder radius and height must be positive")
-
-    @classmethod
-    def from_sheet(cls, width: float, height: float) -> "CylinderParams":
-        if not (width > 0 and height > 0):
-            raise ValueError("sheet width and height must be positive")
-        return cls(width / (2.0 * np.pi), height)
 
 
 @dataclass(frozen=True)
@@ -109,12 +90,9 @@ def roll_worldsheet(u, t, width: float, height: float) -> np.ndarray:
     [0, width] x [0, height] are an error. Broadcasts; returns (..., 3).
     """
     u, t = _sheet_coords(u, t, width, height)
-    params = CylinderParams.from_sheet(width, height)
     theta = 2.0 * np.pi * u / width
-    r = params.radius
-    return np.stack(
-        np.broadcast_arrays(r * np.cos(theta), r * np.sin(theta), t), axis=-1
-    )
+    r = width / (2.0 * np.pi)
+    return np.stack(np.broadcast_arrays(r * np.cos(theta), r * np.sin(theta), t), axis=-1)
 
 
 def bend_to_torus(params: TorusParams, u, v) -> np.ndarray:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxitop import (
-    BallCheck,
     BallRangeError,
     RefinementBudgetError,
     FeatureMap,
@@ -434,6 +433,16 @@ def test_corner_descriptor_rejects_out_of_range():
         corner_region_descriptor(3, 3, (3, 0))
 
 
+@pytest.mark.parametrize("width, height", [(2.5, 3), (3, 3.0), (True, 3)])
+def test_corner_descriptor_refuses_grid_sides_that_are_not_integers(width, height):
+    with pytest.raises(ValueError, match="must be an integer"):
+        corner_region_descriptor(width, height, (1, 1))
+
+
+def test_corner_descriptor_takes_numpy_integer_sides():
+    assert corner_region_descriptor(np.int64(3), np.uint8(3), (1, 1)) == 4.0
+
+
 # -- fixed point search -----------------------------------------------------
 
 
@@ -499,6 +508,33 @@ def test_fixed_point_budget_exhausts_on_fixed_point_free_map():
         fixed_point_search(shift, 1, tol=1e-15, max_refinements=1)
 
 
+@pytest.mark.parametrize(
+    "dimension, options, message",
+    [
+        (1.7, {}, "dimension must be an integer"),
+        (True, {}, "dimension must be an integer"),
+        (0, {}, "dimension must be at least 1"),
+        (1, {"max_refinements": 2.9}, "max_refinements must be an integer"),
+        (1, {"max_refinements": -1}, "max_refinements must be nonnegative"),
+        (1, {"grid_points": 4.0}, "grid_points must be an integer"),
+        (1, {"grid_points": 2}, "grid_points must be at least 3"),
+    ],
+)
+def test_fixed_point_search_refuses_counts_that_are_not_valid_integers(dimension, options, message):
+    with pytest.raises(ValueError, match=message):
+        fixed_point_search(lambda v: np.asarray(v) / 2.0, dimension, **options)
+
+
+def test_fixed_point_search_takes_numpy_integer_counts():
+    def halve(v):
+        return np.asarray(v) / 2.0
+
+    x = fixed_point_search(halve, np.int64(2), max_refinements=np.int32(3), grid_points=np.uint8(5))
+    assert np.array_equal(x, fixed_point_search(halve, 2, max_refinements=3, grid_points=5))
+    with pytest.raises(RefinementBudgetError, match="after 0 refinements"):
+        fixed_point_search(lambda v: 0.7 - 0.2 * np.asarray(v), 1, tol=1e-15, max_refinements=np.int8(0))
+
+
 def test_fixed_point_search_surfaces_batched_map_errors():
     def flaky(v):
         v = np.asarray(v, dtype=float)
@@ -528,12 +564,6 @@ def test_fixed_point_search_refuses_maps_that_are_not_row_wise(f, message):
 def test_fixed_point_search_accepts_map_of_point_arrays_only():
     x = fixed_point_search(lambda P: P[:, ::-1] / 2, 2)
     assert np.linalg.norm(x) <= 1e-8
-
-
-def test_ball_check_contains():
-    ball = BallCheck.unit(3)
-    assert ball.contains([0.5, 0.5, 0.5])
-    assert not ball.contains([1.0, 1.0, 1.0])
 
 
 # -- wired friend -----------------------------------------------------------
@@ -566,6 +596,15 @@ def test_shape_invariant_under_rigid_motions():
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         moved = StringPath(v @ q.T + rng.uniform(-4.0, 4.0, size=3))
         assert np.max(np.abs(string_shape_features(moved) - base)) <= 1e-9
+
+
+def test_wired_friend_refuses_a_silhouette_that_overflows():
+    # the extent overflows, so the silhouette is not finite
+    with np.errstate(over="ignore"):
+        s = StringPath([[-1e308, 0.0], [0.0, 1e308], [1e308, 0.0]])
+        assert not np.isfinite(string_shape_features(s)).all()
+        with pytest.raises(ValueError, match="string_shape_features returned non-finite values"):
+            wired_friend_pipeline(s)
 
 
 def test_wired_friend_lands_inside_unit_ball():

@@ -1,4 +1,4 @@
-"""Spatial primitives: hyperplane witnesses, Petty sets, strings, grids."""
+"""Spatial primitives: antipodal witnesses, Petty sets, strings, grids."""
 
 import itertools
 from fractions import Fraction
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from proxitop import (
-    Hyperplane,
     Region,
     SphereGrid,
     StringPath,
@@ -26,36 +25,37 @@ from proxitop import (
 from proxitop.geometry import POINT_TOL, _petty_directions, point_polyline_distance, point_segment_distance
 
 
-def test_hyperplane_normalizes_and_measures():
-    h = Hyperplane([3.0, 4.0], 10.0)
-    assert np.allclose(h.normal, [0.6, 0.8])
-    # offset rescales with the normal, so the plane is unchanged
-    assert h.offset == pytest.approx(2.0)
-    assert h.signed_distance([0.0, 0.0]) == pytest.approx(-2.0)
-    assert h.contains([2.0, 1.0])
-
-
-def test_hyperplane_rejects_zero_normal():
-    with pytest.raises(ValueError):
-        Hyperplane([0.0, 0.0], 1.0)
-
-
 def test_witness_for_distinct_points():
-    w = antipodal_point_witness([0.0, 0.0], [3.0, 4.0])
+    p, q = np.array([0.0, 0.0]), np.array([3.0, 4.0])
+    w = antipodal_point_witness(p, q)
     assert w is not None
-    ha, hb = w
-    assert np.allclose(ha.normal, [0.6, 0.8])
-    assert np.allclose(hb.normal, [0.6, 0.8])
-    assert ha.offset == pytest.approx(0.0)
-    assert hb.offset == pytest.approx(5.0)
-    # each plane passes through its own point and strictly misses the other
-    assert ha.contains([0.0, 0.0]) and hb.contains([3.0, 4.0])
-    assert abs(ha.signed_distance([3.0, 4.0])) > 1e-6
+    normal, offset_p, offset_q = w
+    assert np.allclose(normal, [0.6, 0.8])
+    assert np.linalg.norm(normal) == pytest.approx(1.0, abs=1e-15)
+    # each plane {x : normal . x = offset} passes through its own point
+    assert normal @ p == pytest.approx(offset_p, abs=1e-12)
+    assert normal @ q == pytest.approx(offset_q, abs=1e-12)
+    # and the planes are disjoint, p's below q's
+    assert offset_q - offset_p > 0
+    assert offset_q - offset_p == pytest.approx(5.0)
 
 
 def test_witness_none_for_coincident_points():
     assert antipodal_point_witness([1.0, 2.0], [1.0, 2.0]) is None
     assert antipodal_point_witness([1.0, 2.0], [1.0, 2.0 + 1e-12]) is None
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_witness_refuses_tol_that_is_not_finite_and_nonnegative(tol):
+    # a coincident pair with tol < 0 would divide 0 by 0
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        antipodal_point_witness([1.0, 2.0], [1.0, 2.0], tol=tol)
+
+
+@pytest.mark.parametrize("p, q", [([-1e308], [1e308]), ([0.0, 0.0], [1e200, 1e200])])
+def test_witness_refuses_endpoints_whose_distance_overflows(p, q):
+    with pytest.raises(ValueError, match="overflows"):
+        antipodal_point_witness(p, q)
 
 
 # -- Petty antipodality -----------------------------------------------------
@@ -312,6 +312,14 @@ def test_point_segment_distance_refuses_mixed_dimensions():
 def test_point_segment_distance_refuses_segment_ends_of_mixed_dimensions():
     with pytest.raises(ValueError, match=_MIXED):
         point_segment_distance([0.0, 1.0], [0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+def test_antipodal_point_witness_refuses_mixed_dimensions():
+    with pytest.raises(ValueError, match=_MIXED):
+        antipodal_point_witness([0.0, 1.0], [0.0, 0.0, 1.0])
+    # a 1-d endpoint would broadcast against the other one
+    with pytest.raises(ValueError, match="cannot measure between dimensions 1 and 3"):
+        antipodal_point_witness([1.0], [0.0, 0.0, 1.0])
 
 
 def test_worldsheets_antipodal_refuses_mixed_dimensions():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from proxitop import (
-    CylinderParams,
     TorusParams,
     TwistSpec,
     bend_to_torus,
@@ -44,12 +43,6 @@ def test_roll_rejects_out_of_domain():
         roll_worldsheet(7.0, 0.0, TAU, 1.0)
     with pytest.raises(ValueError):
         roll_worldsheet(0.0, -0.1, TAU, 1.0)
-
-
-def test_cylinder_params_from_sheet():
-    cp = CylinderParams.from_sheet(TAU, 2.0)
-    assert cp.radius == pytest.approx(1.0)
-    assert cp.height == pytest.approx(2.0)
 
 
 def test_bend_pins_known_points():
