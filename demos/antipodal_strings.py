@@ -22,7 +22,7 @@ arcs = [StringPath(grid.samples[i : i + 4]) for i in range(0, grid.size, 4)]
 print(f"{len(arcs)} arcs of 4 samples each")
 
 even = feature_map_from_config({"name": "even-coords", "dim": 2, "tolerance": 1e-9})
-descriptor = feature_descriptor(even, "mean")
+descriptor = feature_descriptor(even)
 
 result = but_search(descriptor, strings=arcs)
 for pair in result.pairs:
@@ -30,4 +30,4 @@ for pair in result.pairs:
 
 # an odd descriptor (raw coordinate mean) sees no matches: negation flips it
 odd = feature_map_from_config({"name": "coords", "dim": 2, "tolerance": 1e-9})
-print("odd descriptor pairs:", len(but_search(feature_descriptor(odd, "mean"), strings=arcs).pairs))
+print("odd descriptor pairs:", len(but_search(feature_descriptor(odd), strings=arcs).pairs))

@@ -38,6 +38,6 @@ print("description norm:", float(np.linalg.norm(friend.description)), "(inside t
 
 # sweep the same trace around a torus tube: every vertex lands on the torus
 torus = TorusParams(2.0, 1.0)
-verts, faces = trace_to_torus_band(torus, trace, tube_strings=16)
+verts, faces = trace_to_torus_band(torus, trace)
 print(f"band mesh: {verts.shape[0]} vertices, {faces.shape[0]} quads, "
       f"max residual {float(np.max(torus_residual(verts, torus))):.2e}")

@@ -26,7 +26,6 @@ from .geometry import (
     SphereGrid,
     StringPath,
     Worldsheet,
-    _count,
     _integer,
     as_point,
     as_points,
@@ -72,7 +71,7 @@ def _object_points(obj) -> np.ndarray:
     return as_point(obj)[None]
 
 
-def feature_descriptor(features: FeatureMap, reduce: str = "mean") -> FeatureMap:
+def feature_descriptor(features: FeatureMap) -> FeatureMap:
     """Lift a point feature map to a descriptor of whole objects.
 
     The descriptor is a FeatureMap whose batch is a list of strings,
@@ -81,20 +80,15 @@ def feature_descriptor(features: FeatureMap, reduce: str = "mean") -> FeatureMap
     features.rows call on the table (in points mode, but_search passes the
     grid's sample table). In a list, objects with equal point count and
     dimension are described together by one features.rows call. Each
-    object's rows are reduced: "mean" averages them (arity k), "minmax"
-    concatenates the feature-wise minimum and maximum (arity 2k). Both
-    reductions ignore point order. The descriptor keeps the feature map's
-    match tolerance; for another one, build the feature map with it or use
+    object's value is the mean of its rows, so point order does not matter.
+    The descriptor keeps the feature map's arity and match tolerance; for
+    another tolerance, build the feature map with it or use
     dataclasses.replace on the result.
     """
-    if reduce not in ("mean", "minmax"):
-        raise ValueError(f"unknown reduction: {reduce!r}")
-    width = features.arity * (1 if reduce == "mean" else 2)
 
     def reduced(P: np.ndarray, p: int) -> np.ndarray:
-        # (objects, points, arity); reduce over each object's own p points
-        R = features.rows(P).reshape(-1, p, features.arity)
-        return R.mean(axis=1) if reduce == "mean" else np.hstack([R.min(axis=1), R.max(axis=1)])
+        # (objects, points, arity); average over each object's own p points
+        return features.rows(P).reshape(-1, p, features.arity).mean(axis=1)
 
     def describe(objects):
         if isinstance(objects, np.ndarray) and objects.ndim == 2:
@@ -104,12 +98,12 @@ def feature_descriptor(features: FeatureMap, reduce: str = "mean") -> FeatureMap
         groups: dict = {}
         for i, P in enumerate(sets):
             groups.setdefault(P.shape, []).append(i)
-        out = np.empty((len(sets), width))
+        out = np.empty((len(sets), features.arity))
         for (p, _), idx in groups.items():
             out[idx] = reduced(np.concatenate([sets[i] for i in idx]), p)
         return out
 
-    return FeatureMap(width, describe, features.match_tolerance, f"{reduce}-{features.name}")
+    return FeatureMap(features.arity, describe, features.match_tolerance, f"mean-{features.name}")
 
 
 def shape_descriptor(match_tolerance: float = 0.0) -> FeatureMap:
@@ -141,13 +135,12 @@ class ButResult:
     mode: str
     object_count: int
     pairs: tuple
-    exhaustive: bool = True
 
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
             "object_count": self.object_count,
-            "exhaustive": self.exhaustive,
+            "exhaustive": True,
             "pairs": [
                 {
                     "a": p.a,
@@ -248,13 +241,11 @@ class RefinementBudgetError(RuntimeError):
     """Grid refinement ended before reaching the target residual."""
 
 
-def fixed_point_search(
-    f: Callable[[np.ndarray], np.ndarray],
-    dimension: int,
-    tol: float = 1e-9,
-    max_refinements: int = 32,
-    grid_points: int = 101,
-) -> np.ndarray:
+_REFINEMENTS = 32  # grid rounds after the first
+_GRID_POINTS = 101  # samples per axis in every round
+
+
+def fixed_point_search(f: Callable[[np.ndarray], np.ndarray], dimension: int, tol: float = 1e-9) -> np.ndarray:
     """Approximate fixed point of a self-map of the closed unit ball.
 
     Samples ||f(x) - x|| on a 101-points-per-axis grid over the ball's
@@ -271,24 +262,20 @@ def fixed_point_search(
     ValueError is raised: a map that mixes rows would fake a fixed point.
 
     Raises BallRangeError when f leaves the ball at any sampled point, and
-    RefinementBudgetError when max_refinements rounds end above tol.
+    RefinementBudgetError when 32 refinements end above tol.
     """
     n = _integer(dimension, "dimension")
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if not 0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
-    rounds = _count(max_refinements, "max_refinements")
-    grid_points = _integer(grid_points, "grid_points")
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
 
     center = np.zeros(n)
     halfwidth = 1.0
-    for _ in range(rounds + 1):
+    for _ in range(_REFINEMENTS + 1):
         lo = np.maximum(center - halfwidth, -1.0)
         hi = np.minimum(center + halfwidth, 1.0)
-        axes = [np.linspace(lo[k], hi[k], grid_points) for k in range(n)]
+        axes = [np.linspace(lo[k], hi[k], _GRID_POINTS) for k in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         inside = np.linalg.norm(pts, axis=1) <= 1.0 + 1e-12
@@ -308,14 +295,14 @@ def fixed_point_search(
             if np.linalg.norm(alone - out[k]) > POINT_TOL:
                 raise ValueError("fixed-point map is not row-wise: a point's image depends on the grid")
             return best
-        spacing = np.max((hi - lo) / (grid_points - 1))
+        spacing = np.max((hi - lo) / (_GRID_POINTS - 1))
         pinned = np.any((best - lo <= spacing) & (lo > -1.0 + 1e-12)) or np.any(
             (hi - best <= spacing) & (hi < 1.0 - 1e-12)
         )
         center = best
         halfwidth = min(1.0, halfwidth * 4.0) if pinned else halfwidth / 10.0
     raise RefinementBudgetError(
-        f"residual {best_res:.3e} above tol {tol:.3e} after {rounds} refinements"
+        f"residual {best_res:.3e} above tol {tol:.3e} after {_REFINEMENTS} refinements"
     )
 
 
@@ -344,21 +331,22 @@ def string_shape_features(s: StringPath) -> np.ndarray:
     edges = segs[:, 1, :] - segs[:, 0, :]
     lens = np.linalg.norm(edges, axis=1)
     arc = float(np.sum(lens))
-    if arc <= POINT_TOL:
-        raise ValueError("degenerate string: vertices coincide")
     chord = 0.0 if s.closed else float(np.linalg.norm(v[-1] - v[0]))
     # max pairwise vertex distance; attained at hull vertices, so exact for
-    # the polyline as a set, and rigid-motion invariant unlike a box diagonal
-    diff = v[:, None, :] - v[None, :, :]
-    diag = float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
-    turning = 0.0
-    e = len(edges)
-    joints = range(e) if s.closed else range(1, e)
-    for i in joints:
-        a = edges[i - 1] / lens[i - 1]
-        b = edges[i] / lens[i]
-        turning += float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
-    return np.array([arc, chord, diag, turning])
+    # the polyline as a set, and rigid-motion invariant unlike a box diagonal.
+    # Blocks of about 2**20 differences keep memory flat in the vertex count.
+    rows = max(1, 2**20 // len(v))
+    diag = 0.0
+    for k in range(0, len(v), rows):
+        diff = v[k : k + rows, None, :] - v[None, :, :]
+        diag = max(diag, float(np.max(np.sum(diff * diff, axis=2))))
+    unit = edges / lens[:, None]
+    joint = np.arange(0 if s.closed else 1, len(edges))
+    # one batched (k, 1, n) @ (k, n, 1) product; per joint it equals the 1-d a @ b bit for bit
+    cos = (unit[joint - 1, None, :] @ unit[joint, :, None])[:, 0, 0]
+    # cumsum adds in joint order, one angle at a time, unlike np.sum's pairwise sum
+    turning = float(np.cumsum(np.append(0.0, np.arccos(np.clip(cos, -1.0, 1.0))))[-1])
+    return np.array([arc, chord, float(np.sqrt(diag)), turning])
 
 
 def wired_friend_pipeline(s: StringPath) -> WiredFriendResult:

@@ -4,8 +4,7 @@ Subcommands map one-to-one onto library calls and print a JSON report to
 stdout. Exit codes: 0 on success, 1 on runtime or validation failures, 2 on
 usage errors; every failure prints a single "error: ..." line to stderr.
 Reports contain no timestamps, so identical argv and input bytes give
-byte-identical output. PROXITOP_SEED supplies a default seed where a
---seed flag exists; the flag wins.
+byte-identical output. --seed, where it exists, defaults to 0.
 
 A handler only computes: it returns (parameters, results, input paths),
 the paths as a dict of report key to file name. run_command alone builds
@@ -22,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -48,16 +46,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("PROXITOP_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"PROXITOP_SEED is not an integer: {raw!r}") from None
 
 
 def _features_config(raw: str | None) -> dict:
@@ -142,17 +130,15 @@ def _cmd_but_search(ns):
     fm = proximity.feature_map_from_config(
         {"name": ns.descriptor, "dim": n + 1, "tolerance": ns.tol}
     )
+    desc = borsuk.feature_descriptor(fm)
     if ns.mode == "points":
-        result = borsuk.but_search(borsuk.feature_descriptor(fm), grid=grid)
+        result = borsuk.but_search(desc, grid=grid)
+    elif n != 1:
+        raise ValueError(f"{ns.mode} mode builds circle arcs and needs n=1")
+    elif ns.mode == "strings":
+        result = borsuk.but_search(desc, strings=geometry.arc_strings(grid))
     else:
-        if n != 1:
-            raise ValueError(f"{ns.mode} mode builds circle arcs and needs n=1")
-        arcs = geometry.arc_strings(grid)
-        desc = borsuk.feature_descriptor(fm, "mean")
-        if ns.mode == "strings":
-            result = borsuk.but_search(desc, strings=arcs)
-        else:
-            result = borsuk.but_search(desc, sheets=geometry.arc_sheets(arcs))
+        result = borsuk.but_search(desc, sheets=geometry.arc_sheets(geometry.arc_strings(grid)))
     parameters = {
         "mode": ns.mode,
         "n": n,
@@ -247,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     axc.add_argument("--family", required=True)
     axc.add_argument("--space", required=True, help="point CSV for the universe")
     axc.add_argument("--trials", type=int, default=1000)
-    axc.add_argument("--seed", type=int, default=None)
+    axc.add_argument("--seed", type=int, default=0)
     axc.add_argument("--features", default=None, help="feature map JSON (inline or @file)")
     axc.set_defaults(func=_cmd_axioms_check)
 
@@ -305,8 +291,6 @@ def run_command(argv) -> int:
         ns = build_parser().parse_args(list(argv))
         if not hasattr(ns, "func"):
             raise UsageError("missing subcommand (try --help)")
-        if getattr(ns, "seed", "absent") is None:
-            ns.seed = _default_seed()
         parameters, results, inputs = ns.func(ns)
         report = ReportDocument(
             command=" ".join(filter(None, (ns.group, getattr(ns, "command", None)))),

@@ -119,15 +119,23 @@ def lexsorted(pts: np.ndarray) -> np.ndarray:
     return a[order]
 
 
-def point_close(P: np.ndarray, Q: np.ndarray, tol: float = POINT_TOL) -> np.ndarray:
-    """Boolean (len(P), len(Q)) table: P[i] and Q[j] are the same point within tol."""
-    return np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=2) <= tol
+def point_close(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Boolean (len(P), len(Q)) table: P[i] and Q[j] are the same point within POINT_TOL."""
+    return np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=2) <= POINT_TOL
 
 
-def same_point_set(P: np.ndarray, Q: np.ndarray, tol: float = POINT_TOL) -> bool:
-    """True iff every point of P is within tol of some point of Q, and vice versa."""
-    close = point_close(P, Q, tol)
+def same_point_set(P: np.ndarray, Q: np.ndarray) -> bool:
+    """True iff every point of P is within POINT_TOL of some point of Q, and vice versa."""
+    close = point_close(P, Q)
     return bool(close.any(axis=1).all() and close.any(axis=0).all())
+
+
+def _grid_sides(width, height) -> tuple:
+    """(width, height) of a cell grid as positive ints, else ValueError."""
+    w, h = _integer(width, "grid width"), _integer(height, "grid height")
+    if w < 1 or h < 1:
+        raise ValueError(f"grid sides must be positive, got {w}x{h}")
+    return w, h
 
 
 def corner_region_descriptor(width: int, height: int, cell) -> float:
@@ -136,9 +144,7 @@ def corner_region_descriptor(width: int, height: int, cell) -> float:
     Corners score 2, edge cells 3, interior cells 4 (on grids with both
     sides at least 2). Out-of-range cells are an error.
     """
-    w, h = _integer(width, "grid width"), _integer(height, "grid height")
-    if w < 1 or h < 1:
-        raise ValueError("grid dimensions must be positive")
+    w, h = _grid_sides(width, height)
     i, j = int(round(cell[0])), int(round(cell[1]))
     if not (0 <= i < w and 0 <= j < h):
         raise ValueError(f"cell ({i}, {j}) outside {w}x{h} grid")
@@ -165,10 +171,14 @@ class StringPath:
         v = as_points(self.vertices)
         if v.shape[0] < 2:
             raise ValueError("a string needs at least 2 vertices")
-        gaps = np.linalg.norm(np.diff(v, axis=0), axis=1)
-        if np.any(gaps <= POINT_TOL):
+        ring = np.concatenate([v, v[:1]]) if self.closed else v
+        with np.errstate(over="ignore"):
+            gaps = np.linalg.norm(np.diff(ring, axis=0), axis=1)
+        if not np.isfinite(gaps).all():
+            raise ValueError("string vertices are too far apart: a gap between neighbours overflows")
+        if np.any(gaps[: v.shape[0] - 1] <= POINT_TOL):
             raise ValueError("consecutive string vertices must be distinct")
-        if self.closed and np.linalg.norm(v[-1] - v[0]) <= POINT_TOL:
+        if self.closed and gaps[-1] <= POINT_TOL:
             raise ValueError("closed string must not repeat its first vertex")
         object.__setattr__(self, "vertices", v)
 
@@ -303,15 +313,13 @@ class SphereGrid:
 # ---------------------------------------------------------------------------
 
 
-def antipodal_point_witness(p, q, tol: float = POINT_TOL):
+def antipodal_point_witness(p, q):
     """Hyperplanes normal . x = offset_p, offset_q through p and q, or None if p = q.
 
     normal is the unit vector (q - p)/|q - p|, so offset_p < offset_q and the
-    planes never meet: a strict antipodality witness. p = q means |q - p| <= tol,
-    for a finite tol >= 0; a |q - p| that overflows is refused.
+    planes never meet: a strict antipodality witness. p = q means
+    |q - p| <= POINT_TOL; a |q - p| that overflows is refused.
     """
-    if not 0 <= tol < np.inf:
-        raise ValueError("tol must be finite and nonnegative")
     a, b = as_point(p), as_point(q)
     _measurable(a.size, b.size)
     with np.errstate(over="ignore"):
@@ -319,7 +327,7 @@ def antipodal_point_witness(p, q, tol: float = POINT_TOL):
         dist = np.linalg.norm(diff)
     if not np.isfinite(dist):
         raise ValueError("witness endpoints are too far apart: |q - p| overflows")
-    if dist <= tol:
+    if dist <= POINT_TOL:
         return None
     v = diff / dist
     # |v| is 1 only up to rounding; dividing by it once more is part of the pinned output
@@ -355,7 +363,7 @@ def _petty_directions(pts: np.ndarray) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def petty_antipodal_set(points, tol: float = POINT_TOL) -> bool:
+def petty_antipodal_set(points) -> bool:
     """True iff every point pair is antipodal in the supporting-slab sense.
 
     A pair (p, q) qualifies when some direction v attains its minimum over
@@ -366,16 +374,16 @@ def petty_antipodal_set(points, tol: float = POINT_TOL) -> bool:
     witness family that may under-report exotic slabs (an exact test there
     is still open).
 
-    On a candidate direction, p is low when its projection is within tol of
-    the minimum, q is high when within tol of the maximum, and the pair
-    needs a projected gap above tol. A direction is sure when its width
-    (max - tol) - (min + tol) exceeds tol: rounded subtraction is monotone,
-    so there every low-to-high gap exceeds tol and the pair test reduces to
-    "p low and q high". Those pairs are certified at once by one product of
-    the (points, directions) low and high tables. Only pairs left open are
-    tested on the directions that are not sure (width at most about
-    3 * tol), with the gap test as written. The verdict is that of testing
-    every pair on every candidate direction.
+    Below, tol is POINT_TOL. On a candidate direction, p is low when its
+    projection is within tol of the minimum, q is high when within tol of
+    the maximum, and the pair needs a projected gap above tol. A direction
+    is sure when its width (max - tol) - (min + tol) exceeds tol: rounded
+    subtraction is monotone, so there every low-to-high gap exceeds tol and
+    the pair test reduces to "p low and q high". Those pairs are certified
+    at once by one product of the (points, directions) low and high tables.
+    Only pairs left open are tested on the directions that are not sure
+    (width at most about 3 * tol), with the gap test as written. The
+    verdict is that of testing every pair on every candidate direction.
     """
     pts = as_points(points)
     m = pts.shape[0]
@@ -383,9 +391,9 @@ def petty_antipodal_set(points, tol: float = POINT_TOL) -> bool:
         raise ValueError("the Petty test needs at least 2 points")
     dirs = _petty_directions(pts)
     proj = pts @ dirs.T
-    floor = proj.min(axis=0) + tol
-    ceil = proj.max(axis=0) - tol
-    sure = ceil - floor > tol
+    floor = proj.min(axis=0) + POINT_TOL
+    ceil = proj.max(axis=0) - POINT_TOL
+    sure = ceil - floor > POINT_TOL
     # 0/1 tables; a sum of nonnegative 0/1 terms never rounds to 0, so the
     # float32 product counts a witness direction exactly when there is one
     at_lo = np.less_equal(proj, floor, out=np.empty(proj.shape, np.float32))
@@ -400,23 +408,23 @@ def petty_antipodal_set(points, tol: float = POINT_TOL) -> bool:
         if i.size == 0:
             break
         gap = proj[j, d] - proj[i, d]
-        fwd = (at_lo[i, d] > 0) & (at_hi[j, d] > 0) & (gap > tol)
-        bwd = (at_hi[i, d] > 0) & (at_lo[j, d] > 0) & (-gap > tol)
+        fwd = (at_lo[i, d] > 0) & (at_hi[j, d] > 0) & (gap > POINT_TOL)
+        bwd = (at_hi[i, d] > 0) & (at_lo[j, d] > 0) & (-gap > POINT_TOL)
         still = ~(fwd | bwd)
         i, j = i[still], j[still]
     return i.size == 0
 
 
-def strings_antipodal(a: StringPath, b: StringPath, tol: float = POINT_TOL) -> bool:
+def strings_antipodal(a: StringPath, b: StringPath) -> bool:
     """True iff the vertex sets differ, i.e. their symmetric difference is nonempty.
 
-    Vertices are identified within tol. Strings sharing some but not all
+    Vertices are identified within POINT_TOL. Strings sharing some but not all
     vertices are antipodal under this rule; only vertex-for-vertex identical
     strings are not.
     """
     if a.dimension != b.dimension:
         raise ValueError("strings must share a dimension")
-    return not same_point_set(a.vertices, b.vertices, tol)
+    return not same_point_set(a.vertices, b.vertices)
 
 
 def _measurable(n: int, k: int) -> None:
@@ -469,14 +477,14 @@ def polyline_min_distance(a: StringPath, b: StringPath) -> float:
     return float(_segment_distances(a.segments(), b.segments()).min())
 
 
-def worldsheets_antipodal(a: Worldsheet, b: Worldsheet, tol: float = POINT_TOL) -> bool:
+def worldsheets_antipodal(a: Worldsheet, b: Worldsheet) -> bool:
     """True iff some member string of a is disjoint from some member string of b.
 
-    Disjointness is geometric: the two polylines never come within tol of
-    each other (crossing segments have distance zero even without shared
+    Disjointness is geometric: the two polylines never come within POINT_TOL
+    of each other (crossing segments have distance zero even without shared
     vertices).
     """
-    return any(polyline_min_distance(sa, sb) > tol for sa in a.strings for sb in b.strings)
+    return any(polyline_min_distance(sa, sb) > POINT_TOL for sa in a.strings for sb in b.strings)
 
 
 def worldsheet_cover_check(w: Worldsheet):

@@ -52,6 +52,7 @@ from .geometry import (
     POINT_TOL,
     Region,
     _count,
+    _grid_sides,
     _integer,
     as_points,
     corner_region_descriptor,
@@ -178,9 +179,7 @@ def feature_map_from_config(config: dict, dim: int | None = None) -> FeatureMap:
     elif name == "norm":
         fm = FeatureMap(1, lambda P: np.linalg.norm(P, axis=1)[:, None], tol, "norm")
     elif name == "adjacency-count":
-        w, h = _integer(need("width"), "width"), _integer(need("height"), "height")
-        if w < 1 or h < 1:
-            raise ValueError("adjacency-count needs positive grid dimensions")
+        w, h = _grid_sides(need("width"), need("height"))
         fm = FeatureMap(1, pointwise(partial(corner_region_descriptor, w, h)), tol, "adjacency-count")
     elif name == "constant":
         raw = need("value")

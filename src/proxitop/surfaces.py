@@ -23,7 +23,6 @@ from .geometry import StringPath, _integer
 
 __all__ = [
     "TorusParams",
-    "TwistSpec",
     "roll_worldsheet",
     "bend_to_torus",
     "sheet_to_torus",
@@ -54,18 +53,6 @@ class TorusParams:
             raise ValueError(
                 f"ring torus requires c > r, got c={self.center_radius} r={self.tube_radius}"
             )
-
-
-@dataclass(frozen=True)
-class TwistSpec:
-    """Amplitude-modulated twist: a*(1 - z*cos(inner*x))*cos(outer*x).
-
-    Amplitude 0 degenerates to the constant-zero twist, which is allowed.
-    """
-
-    amplitude: float = 1.2
-    inner: float = 2.5
-    outer: float = 5.0
 
 
 def _sheet_coords(u, t, width: float, height: float) -> tuple:
@@ -142,20 +129,21 @@ def torus_residual(p, params: TorusParams):
     return float(out) if out.ndim == 0 else out
 
 
-def twist_height(x, z, spec: TwistSpec = TwistSpec()):
-    """Twist displacement a*(1 - z*cos(inner*x))*cos(outer*x); broadcasts.
+def twist_height(x, z):
+    """Twist displacement 1.2*(1 - z*cos(2.5x))*cos(5x); broadcasts.
 
-    Evaluated in distributed form a*co - a*co*z*ci so the pinned values at
-    x = 0 and x = pi/5 come out exact in floating point for |z| <= 1.
+    Evaluated in distributed form a*co - a*co*z*ci (a = 1.2, co = cos(5x),
+    ci = cos(2.5x)) so the pinned values at x = 0 and x = pi/5 come out
+    exact in floating point for |z| <= 1.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    amp_co = spec.amplitude * np.cos(spec.outer * x)
-    out = amp_co - amp_co * z * np.cos(spec.inner * x)
+    amp_co = 1.2 * np.cos(5.0 * x)
+    out = amp_co - amp_co * z * np.cos(2.5 * x)
     return float(out) if out.ndim == 0 else out
 
 
-def eeg_twist_lift(trace, spec: TwistSpec = TwistSpec()) -> StringPath:
+def eeg_twist_lift(trace) -> StringPath:
     """Lift a planar trace of (x, z) samples to the 3-D twisted string.
 
     Each sample becomes one vertex (x, z, twist_height(x, z)); the first two
@@ -173,7 +161,7 @@ def eeg_twist_lift(trace, spec: TwistSpec = TwistSpec()) -> StringPath:
     lifted = np.empty((a.shape[0], 3))
     lifted[:, 0] = a[:, 0]
     lifted[:, 1] = a[:, 1]
-    lifted[:, 2] = twist_height(a[:, 0], a[:, 1], spec)
+    lifted[:, 2] = twist_height(a[:, 0], a[:, 1])
     return StringPath(lifted)
 
 
@@ -206,24 +194,21 @@ def torus_grid(params: TorusParams, nu: int, nv: int) -> tuple:
     return verts, _quad_faces(nu, nv, wrap_rows=True)
 
 
-def trace_to_torus_band(params: TorusParams, trace, tube_strings: int = 16) -> tuple:
+def trace_to_torus_band(params: TorusParams, trace) -> tuple:
     """Sweep a planar trace around the torus tube as a quad-mesh band.
 
     The trace abscissa x maps to the ring angle (normalized over the
     x-range) and the amplitude z to a tube-angle offset (normalized over
-    the z-range, 0 when the trace is flat). tube_strings parallel copies
-    wrap the tube, giving m*tube_strings vertices, all exactly on the
-    torus, and (m-1)*tube_strings quads (wrapping in the tube direction
-    only). Needs at least 2 finite samples and a nonconstant abscissa.
+    the z-range, 0 when the trace is flat). 16 parallel copies wrap the
+    tube, giving 16*m vertices, all exactly on the torus, and 16*(m-1)
+    quads (wrapping in the tube direction only). Needs at least 2 finite
+    samples and a nonconstant abscissa.
     """
     a = np.asarray(trace, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 2:
         raise ValueError("trace must be an (m, 2) array with m >= 2")
     if not np.all(np.isfinite(a)):
         raise ValueError("trace samples must be finite")
-    k = _integer(tube_strings, "tube_strings")
-    if k < 3:
-        raise ValueError("tube_strings must be at least 3")
     x, z = a[:, 0], a[:, 1]
     xspan = float(x.max() - x.min())
     if xspan <= 0:
@@ -231,6 +216,7 @@ def trace_to_torus_band(params: TorusParams, trace, tube_strings: int = 16) -> t
     zspan = float(z.max() - z.min())
     u = 2.0 * np.pi * (x - x.min()) / xspan
     v0 = np.zeros_like(z) if zspan <= 0 else 2.0 * np.pi * (z - z.min()) / zspan
+    k = 16  # parallel copies of the trace around the tube
     offsets = 2.0 * np.pi * np.arange(k) / k
     verts = bend_to_torus(params, u[:, None], v0[:, None] + offsets[None, :]).reshape(-1, 3)
     return verts, _quad_faces(a.shape[0], k, wrap_rows=False)

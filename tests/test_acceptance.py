@@ -124,7 +124,7 @@ def test_criterion_3_circle_strings_antipodal_search(verdict):
     grid = sphere_sample(1, 32)
     arcs = [StringPath(grid.samples[i : i + 4]) for i in range(0, grid.size, 4)]
     fm = feature_map_from_config({"name": "even-coords", "dim": 2, "tolerance": 1e-9})
-    desc = feature_descriptor(fm, "mean")
+    desc = feature_descriptor(fm)
     start = time.perf_counter()
     res = but_search(desc, strings=arcs)
     elapsed = time.perf_counter() - start
@@ -185,7 +185,7 @@ def test_criterion_5_fixed_points_vs_oracle(verdict):
         b = rng.standard_normal(n)
         b *= rng.uniform(0.0, 0.05) / np.linalg.norm(b)
         star = np.linalg.solve(np.eye(n) - m, b)
-        x = fixed_point_search(lambda v: np.asarray(v) @ m.T + b, n, tol=1e-9)
+        x = fixed_point_search(lambda v: np.asarray(v) @ m.T + b, n)
         worst = max(worst, float(np.linalg.norm(x - star)))
     cos_x = fixed_point_search(lambda v: np.cos(np.asarray(v, dtype=float)), 1)
     cos_err = abs(float(cos_x[0]) - 0.7390851332)

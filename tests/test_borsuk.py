@@ -1,12 +1,16 @@
 """Antipodal descriptor search, corner lemma, fixed points, wired friend."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import proxitop
 from proxitop import (
     BallRangeError,
     RefinementBudgetError,
@@ -16,6 +20,7 @@ from proxitop import (
     Worldsheet,
     but_search,
     corner_region_descriptor,
+    eeg_twist_lift,
     feature_descriptor,
     feature_map_from_config,
     fixed_point_search,
@@ -92,7 +97,7 @@ def arc_strings(density):
 def test_strings_mode_antipodal_arcs_match():
     g, arcs = arc_strings(32)
     assert len(arcs) == 16
-    desc = feature_descriptor(even_map(2), "mean")
+    desc = feature_descriptor(even_map(2))
     res = but_search(desc, strings=arcs)
     assert res.mode == "strings"
     # arcs come in antipodal pairs shifted by half the list
@@ -103,7 +108,7 @@ def test_strings_mode_antipodal_arcs_match():
 
 def test_strings_mode_matches_brute_force():
     g, arcs = arc_strings(24)
-    desc = feature_descriptor(even_map(2, tol=1e-3), "minmax")
+    desc = feature_descriptor(even_map(2, tol=1e-3))
     res = but_search(desc, strings=arcs)
     want = []
     for i in range(len(arcs)):
@@ -200,7 +205,7 @@ def test_string_and_sheet_search_match_brute_force(case):
             if d <= tol and pred(objects[a], objects[b]):
                 want.append((a, b, tuple(float(x) for x in va), d))
     res = but_search(desc, **{mode: objects})
-    assert res.mode == mode and res.object_count == len(objects) and res.exhaustive
+    assert res.mode == mode and res.object_count == len(objects)
     assert [tuple(p) for p in res.pairs] == want
 
 
@@ -209,7 +214,7 @@ def test_predicate_runs_only_on_descriptor_matched_pairs(monkeypatch, mode):
     _, arcs = arc_strings(32)
     objects = arcs if mode == "strings" else [sheet_of(a, b) for a, b in zip(arcs[::2], arcs[1::2])]
     name = "strings_antipodal" if mode == "strings" else "worldsheets_antipodal"
-    desc = feature_descriptor(even_map(2), "mean")
+    desc = feature_descriptor(even_map(2))
     expected = borsuk.but_search(desc, **{mode: objects})
     index = {id(o): k for k, o in enumerate(objects)}
     calls = []
@@ -235,7 +240,7 @@ def test_predicate_runs_only_on_descriptor_matched_pairs(monkeypatch, mode):
 def test_mixed_dimension_strings_rejected():
     flat = StringPath([[0.0, 0.0], [1.0, 0.0]])
     space = StringPath([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    desc = feature_descriptor(even_map(2), "mean")  # fails on R^3 points if evaluated
+    desc = feature_descriptor(even_map(2))  # fails on R^3 points if evaluated
     with pytest.raises(ValueError, match="strings must share a dimension"):
         but_search(desc, strings=[flat, flat, space])
 
@@ -243,17 +248,17 @@ def test_mixed_dimension_strings_rejected():
 def test_mixed_dimension_sheets_rejected():
     flat = sheet_of(StringPath([[0.0, 0.0], [1.0, 0.0]]))
     space = sheet_of(StringPath([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-    desc = feature_descriptor(even_map(2), "mean")
+    desc = feature_descriptor(even_map(2))
     with pytest.raises(ValueError, match="strings must share a dimension"):
         but_search(desc, sheets=[flat, space])
 
 
 def test_empty_and_single_string_searches_are_empty():
-    desc = dataclasses.replace(feature_descriptor(even_map(2), "mean"), match_tolerance=1.0)
+    desc = dataclasses.replace(feature_descriptor(even_map(2)), match_tolerance=1.0)
     for strings in ([], [StringPath([[0.0, 0.0], [1.0, 0.0]])]):
         res = but_search(desc, strings=strings)
         assert res.object_count == len(strings)
-        assert res.pairs == () and res.exhaustive
+        assert res.pairs == ()
 
 
 # -- descriptors --------------------------------------------------------------
@@ -304,16 +309,13 @@ def _points_of(obj):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_described_objects(), name=st.sampled_from(sorted(_POINT_MAPS)), reduce=st.sampled_from(["mean", "minmax"]))
-def test_feature_descriptor_rows_equal_per_object_reductions_bit_for_bit(case, name, reduce):
+@given(case=_described_objects(), name=st.sampled_from(sorted(_POINT_MAPS)))
+def test_feature_descriptor_rows_equal_per_object_reductions_bit_for_bit(case, name):
     dim, objects = case
     fm = _POINT_MAPS[name](dim)
-    want = []
-    for obj in objects:
-        R = fm.rows(_points_of(obj))
-        want.append(np.mean(R, axis=0) if reduce == "mean" else np.concatenate([R.min(axis=0), R.max(axis=0)]))
-    got = feature_descriptor(fm, reduce).rows(objects)
-    assert got.shape == (len(objects), fm.arity * (1 if reduce == "mean" else 2))
+    want = [np.mean(fm.rows(_points_of(obj)), axis=0) for obj in objects]
+    got = feature_descriptor(fm).rows(objects)
+    assert got.shape == (len(objects), fm.arity)
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -323,14 +325,13 @@ def test_feature_descriptor_rows_equal_per_object_reductions_bit_for_bit(case, n
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(1, 60),
     name=st.sampled_from(sorted(_POINT_MAPS)),
-    reduce=st.sampled_from(["mean", "minmax"]),
 )
-def test_point_table_descriptor_equals_the_point_list_bit_for_bit(dim, seed, count, name, reduce):
+def test_point_table_descriptor_equals_the_point_list_bit_for_bit(dim, seed, count, name):
     rng = np.random.default_rng(seed)
     # lattice values with signed zeros, so ties and -0.0 both occur
     table = rng.integers(-2, 3, (count, dim)) * 0.5
     table[rng.random((count, dim)) < 0.3] = -0.0
-    desc = feature_descriptor(_POINT_MAPS[name](dim), reduce)
+    desc = feature_descriptor(_POINT_MAPS[name](dim))
     got = desc.rows(table)
     assert got.tobytes() == desc.rows(list(table)).tobytes()
     assert got.tobytes() == desc.rows([row.tolist() for row in table]).tobytes()
@@ -338,7 +339,7 @@ def test_point_table_descriptor_equals_the_point_list_bit_for_bit(dim, seed, cou
 
 def test_point_table_descriptor_reduces_signed_zeros_like_a_list():
     table = np.array([[-0.0, 1.0], [2.0, -0.0]])
-    desc = feature_descriptor(feature_map_from_config({"name": "coords", "dim": 2}), "mean")
+    desc = feature_descriptor(feature_map_from_config({"name": "coords", "dim": 2}))
     got = desc.rows(table)
     assert got.tobytes() == desc.rows(list(table)).tobytes()
     # the mean reduction turns -0.0 into +0.0, so the rows are not the raw table
@@ -353,9 +354,9 @@ def test_point_table_descriptor_makes_one_call_on_the_table():
         return P
 
     table = np.arange(12.0).reshape(6, 2)
-    got = feature_descriptor(FeatureMap(2, coords, name="seen"), "minmax").rows(table)
+    got = feature_descriptor(FeatureMap(2, coords, name="seen")).rows(table)
     assert seen == [(6, 2)]
-    assert got.tolist() == np.hstack([table, table]).tolist()
+    assert got.tolist() == table.tolist()
 
 
 def test_but_search_pairs_hold_python_numbers():
@@ -373,7 +374,7 @@ def test_feature_descriptor_evaluates_once_per_point_count():
         seen.append(P.shape)
         return P
 
-    desc = feature_descriptor(FeatureMap(2, coords, name="seen"), "mean")
+    desc = feature_descriptor(FeatureMap(2, coords, name="seen"))
     two = StringPath([[0.0, 0.0], [1.0, 0.0]])
     three = StringPath([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     got = desc.rows([two, [4.0, 2.0], three, two, np.array([1.0, 1.0])])
@@ -486,7 +487,7 @@ def test_affine_contractions_vs_linear_solve():
         b = rng.standard_normal(n)
         b *= rng.uniform(0.0, 0.05) / np.linalg.norm(b)
         star = np.linalg.solve(np.eye(n) - M, b)
-        x = fixed_point_search(lambda v: np.asarray(v) @ M.T + b, n, tol=1e-9)
+        x = fixed_point_search(lambda v: np.asarray(v) @ M.T + b, n)
         assert np.linalg.norm(x - star) <= 1e-6
 
 
@@ -496,16 +497,13 @@ def test_map_leaving_ball_raises():
 
 
 def test_fixed_point_budget_exhausts_on_fixed_point_free_map():
-    # a ball-to-ball map with no fixed point on the grid within tolerance
-    def shift(v):
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        out = -v * 0.2 + 0.7
-        return out if np.asarray(v).ndim > 1 else out[0]
+    # a ball-to-ball map that jumps over the diagonal at 0.3, so no x has
+    # f(x) = x and every round's residual stays at least 0.2
+    def jump(v):
+        return np.where(np.asarray(v) < 0.3, 0.5, 0.1)
 
-    # f(x) = 0.7 - 0.2x has fixed point 0.7/1.2 inside; tighten budget so the
-    # search cannot zoom far enough
-    with pytest.raises(RefinementBudgetError):
-        fixed_point_search(shift, 1, tol=1e-15, max_refinements=1)
+    with pytest.raises(RefinementBudgetError, match=r"residual 2\.000e-01 .* after 32 refinements"):
+        fixed_point_search(jump, 1)
 
 
 @pytest.mark.parametrize(
@@ -514,10 +512,11 @@ def test_fixed_point_budget_exhausts_on_fixed_point_free_map():
         (1.7, {}, "dimension must be an integer"),
         (True, {}, "dimension must be an integer"),
         (0, {}, "dimension must be at least 1"),
-        (1, {"max_refinements": 2.9}, "max_refinements must be an integer"),
-        (1, {"max_refinements": -1}, "max_refinements must be nonnegative"),
-        (1, {"grid_points": 4.0}, "grid_points must be an integer"),
-        (1, {"grid_points": 2}, "grid_points must be at least 3"),
+        # tol is the one setting besides the dimension
+        (1, {"tol": 0.0}, "tol must be finite and positive"),
+        (1, {"tol": -1e-9}, "tol must be finite and positive"),
+        (1, {"tol": float("nan")}, "tol must be finite and positive"),
+        (1, {"tol": float("inf")}, "tol must be finite and positive"),
     ],
 )
 def test_fixed_point_search_refuses_counts_that_are_not_valid_integers(dimension, options, message):
@@ -529,10 +528,7 @@ def test_fixed_point_search_takes_numpy_integer_counts():
     def halve(v):
         return np.asarray(v) / 2.0
 
-    x = fixed_point_search(halve, np.int64(2), max_refinements=np.int32(3), grid_points=np.uint8(5))
-    assert np.array_equal(x, fixed_point_search(halve, 2, max_refinements=3, grid_points=5))
-    with pytest.raises(RefinementBudgetError, match="after 0 refinements"):
-        fixed_point_search(lambda v: 0.7 - 0.2 * np.asarray(v), 1, tol=1e-15, max_refinements=np.int8(0))
+    assert np.array_equal(fixed_point_search(halve, np.int64(2)), fixed_point_search(halve, 2))
 
 
 def test_fixed_point_search_surfaces_batched_map_errors():
@@ -598,10 +594,65 @@ def test_shape_invariant_under_rigid_motions():
         assert np.max(np.abs(string_shape_features(moved) - base)) <= 1e-9
 
 
+def _shape_features_oracle(s):
+    """The silhouette on the whole (V, V, n) difference tensor, one joint at a time."""
+    v = s.vertices
+    segs = s.segments()
+    edges = segs[:, 1, :] - segs[:, 0, :]
+    lens = np.linalg.norm(edges, axis=1)
+    arc = float(np.sum(lens))
+    chord = 0.0 if s.closed else float(np.linalg.norm(v[-1] - v[0]))
+    diff = v[:, None, :] - v[None, :, :]
+    diag = float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
+    turning = 0.0
+    e = len(edges)
+    for i in range(e) if s.closed else range(1, e):
+        a = edges[i - 1] / lens[i - 1]
+        b = edges[i] / lens[i]
+        turning += float(np.arccos(np.clip(a @ b, -1.0, 1.0)))
+    return np.array([arc, chord, diag, turning])
+
+
+def _eeg_string(m, seed=0):
+    t = np.linspace(0.0, 10.0, m)
+    z = np.sin(7.0 * t) + 0.1 * np.random.default_rng(seed).standard_normal(m)
+    return eeg_twist_lift(np.stack([t, z], axis=1))
+
+
+def test_shape_features_equal_the_oracle_bit_for_bit():
+    rng = np.random.default_rng(11)
+    strings = [_eeg_string(m, seed=m) for m in (2, 3, 1000, 1500)]
+    for _ in range(120):
+        m, n = int(rng.integers(2, 300)), int(rng.integers(1, 6))
+        verts = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 3)
+        strings.append(StringPath(verts, closed=m >= 3 and bool(rng.integers(2))))
+    for s in strings:
+        assert string_shape_features(s).tobytes() == _shape_features_oracle(s).tobytes(), s.vertex_count
+
+
+def test_shape_features_memory_stays_flat_in_the_vertex_count():
+    # the (V, V, 3) difference tensor of 5,000 vertices alone is 600 MB
+    code = (
+        "import resource, numpy as np\n"
+        "from proxitop import StringPath, string_shape_features\n"
+        "t = np.linspace(0.0, 10.0, 5000)\n"
+        "s = StringPath(np.stack([t, np.sin(7 * t), np.cos(3 * t)], axis=1))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "string_shape_features(s)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(proxitop.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 100  # ru_maxrss counts KiB on Linux
+
+
 def test_wired_friend_refuses_a_silhouette_that_overflows():
-    # the extent overflows, so the silhouette is not finite
+    # each gap is finite, but the end-to-end extent overflows, so the
+    # silhouette is not finite (wider gaps are refused by StringPath itself)
     with np.errstate(over="ignore"):
-        s = StringPath([[-1e308, 0.0], [0.0, 1e308], [1e308, 0.0]])
+        s = StringPath([[0.0, 0.0], [1e154, 0.0], [2e154, 0.0]])
         assert not np.isfinite(string_shape_features(s)).all()
         with pytest.raises(ValueError, match="string_shape_features returned non-finite values"):
             wired_friend_pipeline(s)

@@ -285,31 +285,13 @@ def test_reports_are_byte_identical_across_runs(capsys, trace_file, tmp_path):
     assert one == two
 
 
-def test_seed_env_var_fills_default(capsys, square_file, monkeypatch):
-    monkeypatch.setenv("PROXITOP_SEED", "99")
-    doc = run_json(
-        capsys,
-        ["axioms", "check", "--family", "strong", "--space", square_file,
-         "--trials", "20"],
-    )
-    assert doc["parameters"]["seed"] == 99
-    monkeypatch.setenv("PROXITOP_SEED", "not-a-number")
-    rc = run_command(
-        ["axioms", "check", "--family", "strong", "--space", str(square_file),
-         "--trials", "20"]
-    )
-    err = capsys.readouterr().err
-    assert rc == 2 and "PROXITOP_SEED" in err
-
-
 def test_seed_flag_beats_env(capsys, square_file, monkeypatch):
+    # --seed alone sets the seed: the environment is not read, and an omitted
+    # flag reports the seed it used, 0
     monkeypatch.setenv("PROXITOP_SEED", "99")
-    doc = run_json(
-        capsys,
-        ["axioms", "check", "--family", "strong", "--space", square_file,
-         "--trials", "20", "--seed", "3"],
-    )
-    assert doc["parameters"]["seed"] == 3
+    argv = ["axioms", "check", "--family", "strong", "--space", square_file, "--trials", "20"]
+    assert run_json(capsys, [*argv, "--seed", "3"])["parameters"]["seed"] == 3
+    assert run_json(capsys, argv)["parameters"]["seed"] == 0
 
 
 def _single_error(capsys):
@@ -413,3 +395,42 @@ def test_cold_subprocess_matches_in_process_report(capsys):
     bare = _cold()
     assert bare.returncode == 2 and bare.stdout == b""
     assert bare.stderr == b"error: missing subcommand (try --help)\n"
+
+
+# -- refusals ---------------------------------------------------------------
+
+
+_AXIOMS = ["axioms", "check", "--family", "strong", "--space", "SPACE", "--trials", "5"]
+_BUT = ["but", "search", "--descriptor", "even-coords"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ([*_AXIOMS, "--features", "@DIR/missing.json"], 1, "No such file or directory"),
+        ([*_AXIOMS, "--features", "@DIR/bad.json"], 1, "feature config is not valid JSON"),
+        ([*_AXIOMS, "--features", "{name: coords}"], 1, "feature config is not valid JSON"),
+        ([*_AXIOMS, "--features", '["coords"]'], 1, "feature config must be a JSON object"),
+        ([*_BUT, "--mode", "points", "--grid", "n=1", "size=4"], 2, "unknown grid spec keys: ['size']"),
+        ([*_BUT, "--mode", "points", "--grid", "n=1", "density=2.5"], 2, "n and density must be integers"),
+        ([*_BUT, "--mode", "points", "--grid", "n=3", "density=2"], 1, "supports grid n=1 or n=2"),
+        ([*_BUT, "--mode", "strings", "--grid", "n=2", "density=8"], 1, "strings mode builds circle arcs"),
+        ([*_BUT, "--mode", "sheets", "--grid", "n=2", "density=8"], 1, "sheets mode builds circle arcs"),
+    ],
+)
+def test_cli_refuses_invalid_input_with_one_error_line(capsys, tmp_path, square_file, argv, code, message):
+    (tmp_path / "bad.json").write_text('{"name": "coords",}')
+    subst = {"SPACE": str(square_file)}
+    argv = [subst.get(a, a.replace("@DIR", "@" + str(tmp_path))) for a in argv]
+    assert run_command(argv) == code
+    assert message in _single_error(capsys)
+
+
+def test_features_file_reads_like_the_inline_config(capsys, tmp_path, square_file):
+    config = '{"name": "norm", "tolerance": 0.5}'
+    (tmp_path / "features.json").write_text(config)
+    argv = ["axioms", "check", "--family", "strong", "--space", square_file, "--trials", "5"]
+    inline = run_json(capsys, [*argv, "--features", config])
+    from_file = run_json(capsys, [*argv, "--features", f"@{tmp_path / 'features.json'}"])
+    assert from_file["results"] == inline["results"]
+    assert from_file["parameters"]["features"] == inline["parameters"]["features"] == json.loads(config)

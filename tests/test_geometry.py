@@ -15,6 +15,10 @@ from proxitop import (
     StringPath,
     Worldsheet,
     antipodal_point_witness,
+    arc_sheets,
+    arc_strings,
+    as_point,
+    as_points,
     petty_antipodal_set,
     polyline_min_distance,
     sphere_sample,
@@ -43,13 +47,6 @@ def test_witness_for_distinct_points():
 def test_witness_none_for_coincident_points():
     assert antipodal_point_witness([1.0, 2.0], [1.0, 2.0]) is None
     assert antipodal_point_witness([1.0, 2.0], [1.0, 2.0 + 1e-12]) is None
-
-
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-def test_witness_refuses_tol_that_is_not_finite_and_nonnegative(tol):
-    # a coincident pair with tol < 0 would divide 0 by 0
-    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-        antipodal_point_witness([1.0, 2.0], [1.0, 2.0], tol=tol)
 
 
 @pytest.mark.parametrize("p, q", [([-1e308], [1e308]), ([0.0, 0.0], [1e200, 1e200])])
@@ -460,7 +457,6 @@ def test_polyline_distances_match_exact_oracle(data):
 @given(data=st.data())
 def test_worldsheet_predicates_match_oracle_loops(data):
     n = data.draw(st.integers(2, 4))
-    tol = data.draw(st.sampled_from([1e-9, 0.3, 0.6]))
     cover = data.draw(st.sampled_from([0.3, 0.6, 1.1]))
     sheets = []
     for _ in range(2):
@@ -470,9 +466,10 @@ def test_worldsheet_predicates_match_oracle_loops(data):
     wa, wb = sheets
     gaps = [_exact_between(sa, sb) for sa in wa.strings for sb in wb.strings]
     reach = [min(_exact_to_string(p, s) for s in wa.strings) for p in wa.sheet.points]
-    # a distance within rounding of a threshold has no exact verdict to compare
-    assume(all(abs(d - tol) > 1e-9 for d in gaps) and all(abs(d - cover) > 1e-9 for d in reach))
-    assert worldsheets_antipodal(wa, wb, tol) == any(d > tol for d in gaps)
+    # a distance within rounding of a threshold has no exact verdict to
+    # compare; on the 0.5 lattice a gap is 0 or far above POINT_TOL
+    assume(all(abs(d - cover) > 1e-9 for d in reach))
+    assert worldsheets_antipodal(wa, wb) == any(d > POINT_TOL for d in gaps)
     ok, uncovered = worldsheet_cover_check(wa)
     want = sorted(tuple(p) for p, d in zip(wa.sheet.points, reach) if d > cover)
     assert ok == (not want)
@@ -522,3 +519,47 @@ def test_sphere_grid_validates_negation():
     pts = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         SphereGrid(1, pts, np.array([1, 0]))
+
+
+# -- refusals ---------------------------------------------------------------
+
+
+_SEGMENT = StringPath([[0.0, 0.0], [1.0, 0.0]])
+_CIRCLE = sphere_sample(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: as_point([[1.0, 2.0]]), "nonempty 1-d coordinate vector"),
+        (lambda: as_point([]), "nonempty 1-d coordinate vector"),
+        (lambda: as_point([1.0, np.nan]), "coordinates must be finite"),
+        (lambda: as_points(np.zeros((2, 2, 2))), r"nonempty \(m, n\) array"),
+        (lambda: as_points(np.zeros((0, 2))), r"nonempty \(m, n\) array"),
+        (lambda: as_points([[0.0, np.inf]]), "coordinates must be finite"),
+        (lambda: StringPath([[0.0, 0.0]]), "at least 2 vertices"),
+        (lambda: StringPath([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], closed=True), "must not repeat its first vertex"),
+        (lambda: StringPath([[-1e308, 0.0], [1e308, 0.0]]), "too far apart"),
+        (lambda: StringPath([[0.0, 0.0], [1e200, 1e200]]), "too far apart"),
+        # the open string is accepted; only its wrap edge overflows
+        (lambda: StringPath([[-1e154, 0.0], [0.0, 0.0], [1e154, 0.0]], closed=True), "too far apart"),
+        (lambda: Region([[0.0, 0.0], [1.0, 1.0]], [True]), "one flag per point"),
+        (lambda: Worldsheet(Region.from_points([[0.0, 0.0]]), (), 0.5), "at least one string"),
+        (lambda: Worldsheet(Region.from_points([[0.0, 0.0, 0.0]]), (_SEGMENT,), 0.5), "share one dimension"),
+        (lambda: Worldsheet(Region.from_points([[0.0, 0.0]]), (_SEGMENT,), 0.0), "cover_tolerance must be positive"),
+        (lambda: SphereGrid(2, _CIRCLE.samples, _CIRCLE.antipode_index), r"R\^\(dimension\+1\)"),
+        (lambda: SphereGrid(1, _CIRCLE.samples, [2, 3, 0]), "one entry per sample"),
+        (lambda: SphereGrid(1, 2 * _CIRCLE.samples, _CIRCLE.antipode_index), "unit vectors"),
+        (lambda: petty_antipodal_set([[0.0, 1.0]]), "at least 2 points"),
+        (lambda: strings_antipodal(_SEGMENT, StringPath([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])), "share a dimension"),
+        (lambda: arc_strings(sphere_sample(1, 3)), "divisible by 4, got 6"),
+        (lambda: arc_sheets(arc_strings(sphere_sample(1, 6))), "even arc count"),
+        (lambda: sphere_sample(4, 3), "must be 1, 2, or 3"),
+        (lambda: sphere_sample(0, 3), "must be 1, 2, or 3"),
+        (lambda: sphere_sample(2, 0), "density must be at least 1"),
+    ],
+)
+def test_geometry_refuses_invalid_input_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+

@@ -635,3 +635,26 @@ def test_file_digest_stable(tmp_path):
     assert file_digest(p) == file_digest(p)
     q = write(tmp_path, "d2.txt", "payload2")
     assert file_digest(p) != file_digest(q)
+
+
+# -- refusals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda p: save_curve_csv(p, np.zeros((2, 2))), r"curve must be an \(m, 3\) array"),
+        (lambda p: save_curve_csv(p, np.zeros(3)), r"curve must be an \(m, 3\) array"),
+        (lambda p: save_points_csv(p, np.zeros((0, 2))), r"point set must be a nonempty \(m, n\) array"),
+        (lambda p: MeshDocument(np.zeros((4, 2)), [[0, 1, 2, 3]]), r"nonempty \(m, 3\) array"),
+        (lambda p: MeshDocument(np.zeros((0, 3)), np.zeros((0, 4), int)), r"nonempty \(m, 3\) array"),
+        (lambda p: MeshDocument([[0.0, 0.0, np.nan]] * 4, [[0, 1, 2, 3]]), "mesh vertices must be finite"),
+        (lambda p: MeshDocument(np.zeros((4, 3)), [[0, 1, 2]]), r"\(k, 4\) array of quads"),
+        (lambda p: MeshDocument(np.zeros((4, 3)), [0, 1, 2, 3]), r"\(k, 4\) array of quads"),
+    ],
+)
+def test_io_refuses_invalid_input_by_name(tmp_path, write, message):
+    p = tmp_path / "never.out"
+    with pytest.raises(ValueError, match=message):
+        write(p)
+    assert not p.exists()

@@ -12,6 +12,7 @@ from proxitop import (
     DescriptiveSpace,
     FeatureMap,
     Region,
+    corner_region_descriptor,
     describe_region,
     descriptive_intersection,
     dnear,
@@ -512,3 +513,43 @@ def test_relations_match_independent_oracles(A, B, name, tol, which, other):
     assert snd(ra, rb, fm, universe=ru) == _oracle_strong(
         A, B, universe, lambda p, q: _matches(phi(p), phi(q), tol)
     )
+
+
+# -- refusals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FeatureMap(0, lambda P: P), "feature arity must be at least 1"),
+        (lambda: feature_map_from_config({"name": "coords"}), "coords feature map needs a dimension"),
+        (lambda: feature_map_from_config({"name": "even-coords", "dim": 0}), "even-coords feature map needs a"),
+        (lambda: feature_map_from_config({"name": "median"}), "unknown feature map name: 'median'"),
+        (lambda: feature_map_from_config({"name": None}), "unknown feature map name: None"),
+        # the config and the descriptor share one size check and its message
+        (
+            lambda: feature_map_from_config({"name": "adjacency-count", "width": 0, "height": 3}),
+            "grid sides must be positive, got 0x3",
+        ),
+        (lambda: corner_region_descriptor(3, -1, (0, 0)), "grid sides must be positive, got 3x-1"),
+        (lambda: grid_space(2, 2).region([0, 1], interior=[1, 3]), "interior indices [3] are not in the region"),
+        (lambda: spc_check(grid_space(2, 2), lambda P: P, [], mode="weak"), "unknown continuity mode: 'weak'"),
+    ],
+)
+def test_proximity_refuses_invalid_input_by_name(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_spc_check_counts_a_pair_that_is_not_near_without_testing_its_image():
+    sp = grid_space(3, 3)
+    far = (sp.region([0]), sp.region([4]))  # a corner (2) and the center (4) share no description
+    images = []
+
+    def identity(P):
+        images.append(len(P))
+        return P
+
+    rep = spc_check(sp, identity, [far, (sp.region([0]), sp.region([8]))], mode="descriptive")
+    assert (rep.pairs_checked, rep.near_pairs) == (2, 1) and rep.preserved
+    assert images == [1, 1]  # only the near pair's two regions were mapped

@@ -5,7 +5,6 @@ import pytest
 
 from proxitop import (
     TorusParams,
-    TwistSpec,
     bend_to_torus,
     eeg_twist_lift,
     roll_worldsheet,
@@ -136,23 +135,16 @@ def test_parametric_identities_random_sweep():
 
 
 def test_twist_pinned_values():
-    spec = TwistSpec()
-    assert twist_height(0.0, 1.0, spec) == 0.0
+    assert twist_height(0.0, 1.0) == 0.0
     for z in (-1.0, -0.5, 0.0, 0.3, 1.0):
-        assert twist_height(np.pi / 5.0, z, spec) == -1.2
-
-
-def test_twist_zero_amplitude_flattens():
-    spec = TwistSpec(amplitude=0.0)
-    assert twist_height(0.123, 0.456, spec) == 0.0
+        assert twist_height(np.pi / 5.0, z) == -1.2
 
 
 def test_twist_vectorizes():
-    spec = TwistSpec()
     x = np.linspace(0.0, 2.0, 7)
     z = np.linspace(-1.0, 1.0, 7)
-    got = twist_height(x, z, spec)
-    want = np.array([twist_height(a, b, spec) for a, b in zip(x, z)])
+    got = twist_height(x, z)
+    want = np.array([twist_height(a, b) for a, b in zip(x, z)])
     assert np.array_equal(got, want)
 
 
@@ -165,8 +157,7 @@ def test_lift_keeps_input_columns_bit_exact():
     assert lifted.shape == (50, 3)
     assert np.array_equal(lifted[:, 0], xz[:, 0])
     assert np.array_equal(lifted[:, 1], xz[:, 1])
-    spec = TwistSpec()
-    assert np.array_equal(lifted[:, 2], twist_height(xz[:, 0], xz[:, 1], spec))
+    assert np.array_equal(lifted[:, 2], twist_height(xz[:, 0], xz[:, 1]))
 
 
 def test_lift_rejects_degenerate_traces():
@@ -203,27 +194,16 @@ def test_torus_grid_refuses_counts_that_are_not_integers(nu, nv):
         torus_grid(TorusParams(2.0, 1.0), nu, nv)
 
 
-@pytest.mark.parametrize("tube_strings", [3.7, 16.0, True, "16"])
-def test_trace_band_refuses_tube_strings_that_are_not_integers(tube_strings):
-    trace = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -0.5]])
-    with pytest.raises(ValueError, match="tube_strings must be an integer"):
-        trace_to_torus_band(TorusParams(2.0, 1.0), trace, tube_strings=tube_strings)
-
-
 def test_mesh_builders_take_numpy_integer_counts():
     tp = TorusParams(2.0, 1.0)
-    trace = [[0.0, 0.0], [1.0, 1.0]]
-    for got, want in [
-        (torus_grid(tp, np.int32(3), np.int64(4)), torus_grid(tp, 3, 4)),
-        (trace_to_torus_band(tp, trace, np.int16(5)), trace_to_torus_band(tp, trace, 5)),
-    ]:
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    got, want = torus_grid(tp, np.int32(3), np.int64(4)), torus_grid(tp, 3, 4)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_trace_band_lies_on_torus():
     tp = TorusParams(2.0, 1.0)
     trace = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -0.5], [3.0, 0.2], [4.0, 0.0]])
-    verts, faces = trace_to_torus_band(tp, trace, tube_strings=16)
+    verts, faces = trace_to_torus_band(tp, trace)
     assert verts.shape == (5 * 16, 3)
     assert faces.shape == (4 * 16, 4)
     assert float(np.max(torus_residual(verts, tp))) <= 1e-9
@@ -232,7 +212,8 @@ def test_trace_band_lies_on_torus():
 def test_trace_band_flat_trace_still_sweeps_tube():
     tp = TorusParams(2.0, 1.0)
     trace = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    verts, _ = trace_to_torus_band(tp, trace, tube_strings=8)
+    verts, faces = trace_to_torus_band(tp, trace)
+    assert verts.shape == (3 * 16, 3) and faces.shape == (2 * 16, 4)
     assert float(np.max(torus_residual(verts, tp))) <= 1e-9
 
 
@@ -259,3 +240,23 @@ def test_sheet_maps_refuse_non_finite_sheet_size(width, height):
 def test_torus_band_refuses_non_finite_trace():
     with pytest.raises(ValueError, match="must be finite"):
         trace_to_torus_band(TorusParams(3.0, 1.0), [[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]])
+
+
+# -- refusals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TorusParams(2.0, 0.0), "tube radius must be positive"),
+        (lambda: TorusParams(2.0, -1.0), "tube radius must be positive"),
+        (lambda: torus_residual([1.0, 0.0], TorusParams(2.0, 1.0)), "needs 3-D points"),
+        (lambda: torus_residual(np.zeros((4, 2)), TorusParams(2.0, 1.0)), "needs 3-D points"),
+        (lambda: eeg_twist_lift([[0.0, 0.0], [1.0, np.inf]]), "trace samples must be finite"),
+        (lambda: eeg_twist_lift([[np.nan, 0.0], [1.0, 0.0]]), "trace samples must be finite"),
+        (lambda: trace_to_torus_band(TorusParams(2.0, 1.0), [[0.0, 0.0], [-np.inf, 1.0]]), "must be finite"),
+    ],
+)
+def test_surfaces_refuse_invalid_input_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
