@@ -33,7 +33,7 @@ from .geometry import (
     value_table,
     worldsheets_antipodal,
 )
-from .proximity import FeatureMap, pointwise
+from .proximity import FeatureMap
 
 __all__ = [
     "ButPair",
@@ -42,7 +42,6 @@ __all__ = [
     "RefinementBudgetError",
     "WiredFriendResult",
     "feature_descriptor",
-    "shape_descriptor",
     "but_search",
     "fixed_point_search",
     "string_shape_features",
@@ -104,11 +103,6 @@ def feature_descriptor(features: FeatureMap) -> FeatureMap:
         return out
 
     return FeatureMap(features.arity, describe, features.match_tolerance, f"mean-{features.name}")
-
-
-def shape_descriptor(match_tolerance: float = 0.0) -> FeatureMap:
-    """The 4-feature string silhouette as a descriptor (strings only)."""
-    return FeatureMap(4, pointwise(string_shape_features), match_tolerance, "shape")
 
 
 # ---------------------------------------------------------------------------

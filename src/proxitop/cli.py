@@ -64,21 +64,14 @@ def _features_config(raw: str | None) -> dict:
     return cfg
 
 
-_FAMILY_ALIASES = {
-    "descriptive": proximity.FAMILY_DESCRIPTIVE,
-    "lodato-descriptive": proximity.FAMILY_DESCRIPTIVE,
-}
-
-
 def _cmd_axioms_check(ns):
-    family = _FAMILY_ALIASES.get(ns.family.lower(), ns.family)
     pts = load_points_csv(ns.space)
     cfg = _features_config(ns.features)
     fm = proximity.feature_map_from_config(cfg, dim=pts.shape[1] if pts.size else None)
     space = proximity.DescriptiveSpace(pts, fm)
-    report = proximity.check_axioms(space, family, trials=ns.trials, seed=ns.seed)
+    report = proximity.check_axioms(space, ns.family, trials=ns.trials, seed=ns.seed)
     parameters = {
-        "family": family,
+        "family": ns.family,
         "space": ns.space,
         "trials": ns.trials,
         "seed": ns.seed,

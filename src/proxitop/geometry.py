@@ -24,13 +24,17 @@ Returned point lists are in canonical lexicographic order.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 POINT_TOL = 1e-9
 UNIT_TOL = 1e-12
+
+# Magnitudes from 2**_HUGE up are scaled below it by a power of two before they
+# are squared: the segment kernel forms fourth powers, which fit a double there.
+_HUGE = 240
 
 __all__ = [
     "POINT_TOL",
@@ -54,8 +58,6 @@ __all__ = [
     "arc_strings",
     "arc_sheets",
     "sphere_sample",
-    "point_segment_distance",
-    "point_polyline_distance",
     "polyline_min_distance",
 ]
 
@@ -108,6 +110,17 @@ def _count(value, name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
     return value
+
+
+def _binary_exponent(magnitude) -> np.ndarray:
+    """The least k >= 0 with magnitude < 2**(_HUGE + k); np.ldexp(x, -k) is exact short of underflow."""
+    return np.maximum(np.frexp(magnitude)[1] - _HUGE, 0)
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row over its norm; a huge row is first scaled by its own power of two, so no norm overflows."""
+    rows = np.ldexp(rows, -_binary_exponent(np.abs(rows).max(axis=1, keepdims=True)))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def lexsorted(pts: np.ndarray) -> np.ndarray:
@@ -185,10 +198,6 @@ class StringPath:
     @property
     def dimension(self) -> int:
         return self.vertices.shape[1]
-
-    @property
-    def vertex_count(self) -> int:
-        return self.vertices.shape[0]
 
     def segments(self) -> np.ndarray:
         """(s, 2, n) array of segment endpoints, wrap edge included if closed."""
@@ -297,10 +306,6 @@ class SphereGrid:
     def size(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def ambient_dimension(self) -> int:
-        return self.samples.shape[1]
-
     def antipodal_pairs(self) -> np.ndarray:
         """(m/2, 2) index pairs (i, j) with i < j and samples[j] = -samples[i]."""
         idx = self.antipode_index
@@ -342,25 +347,25 @@ def _petty_directions(pts: np.ndarray) -> np.ndarray:
     Negating a direction negates every projection exactly, which swaps its
     low and high tables, and the pair test reads both orientations of each
     pair, so the mirrored half of the family would decide nothing more. In
-    2D the set is completed into a full direction arrangement:
-    perpendiculars of the differences are the critical angles where some
-    projection order ties, and the angular midpoints between consecutive
-    critical angles sample every open cell, so checking all candidates
-    decides each pair exactly.
+    2D the set is completed into a full direction arrangement: the
+    differences, their perpendiculars and the axes are the critical
+    directions where some projection order ties, kept as exact unit rows,
+    and the angular midpoints between consecutive critical angles of both
+    orientations (rounded to 12 decimals) sample every open cell.
     """
     m, n = pts.shape
     i, j = np.triu_indices(m, 1)
     d = pts[i] - pts[j]
-    d = d[np.linalg.norm(d, axis=1) > POINT_TOL]
+    with np.errstate(over="ignore"):  # a norm that overflows is still above tol
+        d = d[np.linalg.norm(d, axis=1) > POINT_TOL]
     if n == 2:
         perp = np.stack([-d[:, 1], d[:, 0]], axis=1)
-        base = np.concatenate([d, -d, perp, -perp, np.eye(2), -np.eye(2)])
-        ang = np.sort(np.unique(np.round(np.arctan2(base[:, 1], base[:, 0]), 12)))
-        mids = (ang + np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]])) / 2.0)
-        allang = np.concatenate([ang, mids])
-        return np.stack([np.cos(allang), np.sin(allang)], axis=1)
-    dirs = np.concatenate([d, np.eye(n)])
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        crit = np.concatenate([d, perp, np.eye(2)])
+        both = np.concatenate([crit, -crit])
+        ang = np.sort(np.unique(np.round(np.arctan2(both[:, 1], both[:, 0]), 12)))
+        mids = ang + np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]])) / 2.0
+        return np.concatenate([np.stack([np.cos(mids), np.sin(mids)], axis=1), _unit_rows(crit)])
+    return _unit_rows(np.concatenate([d, np.eye(n)]))
 
 
 def petty_antipodal_set(points) -> bool:
@@ -369,10 +374,14 @@ def petty_antipodal_set(points) -> bool:
     A pair (p, q) qualifies when some direction v attains its minimum over
     the set at p and its maximum at q, with min < max, i.e. the set fits in
     the closed slab between two disjoint parallel supporting hyperplanes.
-    Exact in 2D via a complete direction arrangement; for dimension >= 3 the
-    finite candidate set (pairwise differences plus axes) is a sufficient
-    witness family that may under-report exotic slabs (an exact test there
-    is still open).
+    In 2D the candidates form a complete direction arrangement, critical
+    directions included exactly, so every slab has a candidate; for
+    dimension >= 3 the finite candidate set (pairwise differences plus
+    axes) is a sufficient witness family that may under-report exotic slabs
+    (an exact test there is still open). In every dimension the ties are
+    read with the absolute POINT_TOL, which stops resolving them once the
+    rounding of the coordinates exceeds it: affine images of the unit square
+    scaled to 1e7 or 1e8 can be called non-antipodal.
 
     Below, tol is POINT_TOL. On a candidate direction, p is low when its
     projection is within tol of the minimum, q is high when within tol of
@@ -441,35 +450,35 @@ def _segment_distances(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     The normal equations' determinant a*e - b*b and numerator b*f - c*e are
     sums over the 2x2 minors (Lagrange and Binet-Cauchy identities), which do
     not cancel for nearly parallel segments as the products of dot products do.
+    A pair with an end at or above 2**_HUGE is first scaled below it by its
+    own least power of two 2**-k, and its distance by 2**k after, so the
+    degenerate and parallel tests read each pair at nearly its own scale; a
+    distance that still overflows is refused.
     """
     _measurable(S.shape[-1], T.shape[-1])
-    p1, d1 = S[:, None, 0], S[:, None, -1] - S[:, None, 0]
-    p2, d2 = T[None, :, 0], T[None, :, -1] - T[None, :, 0]
+    S, T = S[:, None], T[None]
+    k = 0
+    if max(np.abs(S).max(), np.abs(T).max()) >= 2.0**_HUGE:
+        k = _binary_exponent(np.maximum(np.abs(S).max(axis=(2, 3)), np.abs(T).max(axis=(2, 3))))
+        S, T = np.ldexp(S, -k[..., None, None]), np.ldexp(T, -k[..., None, None])
+    p1, d1 = S[..., 0, :], S[..., -1, :] - S[..., 0, :]
+    p2, d2 = T[..., 0, :], T[..., -1, :] - T[..., 0, :]
     r = p1 - p2
     a, b, c = (np.sum(d1 * v, axis=2) for v in (d1, d2, r))
     e, f = (np.sum(d2 * v, axis=2) for v in (d2, r))
     i, j = np.triu_indices(S.shape[-1], 1)
     d12 = d1[..., i] * d2[..., j] - d1[..., j] * d2[..., i]
     d2r = d2[..., i] * r[..., j] - d2[..., j] * r[..., i]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # every product fits below 2**_HUGE; only scaling a distance back can overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         denom = np.sum(d12 * d12, axis=2)
         s = np.where(denom > 1e-300, np.clip(np.sum(d12 * d2r, axis=2) / denom, 0.0, 1.0), 0.0)
         t = np.where(e > 1e-300, np.clip((b * s + f) / e, 0.0, 1.0), 0.0)
         s = np.where(a > 1e-300, np.clip((b * t - c) / a, 0.0, 1.0), 0.0)
-    return np.linalg.norm(r + s[..., None] * d1 - t[..., None] * d2, axis=2)
-
-
-def point_segment_distance(p, a, b) -> float:
-    """Distance from point p to the closed segment [a, b]."""
-    a, b = as_point(a), as_point(b)
-    _measurable(a.size, b.size)
-    seg = np.stack([a, b])[None]
-    return float(_segment_distances(as_point(p)[None, None], seg)[0, 0])
-
-
-def point_polyline_distance(p, path: StringPath) -> float:
-    """Distance from p to the nearest point of the string (segments, not vertices)."""
-    return float(_segment_distances(as_point(p)[None, None], path.segments()).min())
+        dist = np.ldexp(np.linalg.norm(r + s[..., None] * d1 - t[..., None] * d2, axis=2), k)
+    if not np.isfinite(dist).all():
+        raise ValueError("segments are too far apart: a distance between them overflows")
+    return dist
 
 
 def polyline_min_distance(a: StringPath, b: StringPath) -> float:

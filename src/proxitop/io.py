@@ -58,7 +58,6 @@ __all__ = [
     "load_trace_csv",
     "save_curve_csv",
     "load_points_csv",
-    "save_points_csv",
     "export_mesh",
     "file_digest",
 ]
@@ -138,22 +137,17 @@ def load_trace_csv(path) -> np.ndarray:
     return _parse_table(body, header, increasing=True)
 
 
-def _write_rows(path, header: list, a: np.ndarray) -> None:
-    """Write a header line and one row per point as shortest round-trip floats; a non-finite row is refused."""
-    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
-    if bad.size:
-        raise ValueError(f"row {bad[0]} is not finite: {a[bad[0]].tolist()}")
-    lines = [",".join(header)] + [",".join(map(repr, p)) for p in a.tolist()]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def save_curve_csv(path, points) -> None:
-    """Write 3-D curve vertices as x,y,z rows (shortest round-trip floats)."""
+    """Write 3-D curve vertices as x,y,z rows (shortest round-trip floats); a non-finite row is refused."""
     a = np.asarray(points, dtype=float)
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError("curve must be an (m, 3) array")
-    _write_rows(path, ["x", "y", "z"], a)
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} is not finite: {a[bad[0]].tolist()}")
+    lines = ["x,y,z"] + [",".join(map(repr, p)) for p in a.tolist()]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_points_csv(path) -> np.ndarray:
@@ -165,13 +159,6 @@ def load_points_csv(path) -> np.ndarray:
     if header != [f"x{i+1}" for i in range(len(header))]:
         raise ValueError("line 1: point header must be x1,...,xn")
     return _parse_table(body, header, increasing=False)
-
-
-def save_points_csv(path, points) -> None:
-    a = np.asarray(points, dtype=float)
-    if a.ndim != 2 or a.shape[0] == 0:
-        raise ValueError("point set must be a nonempty (m, n) array")
-    _write_rows(path, [f"x{i+1}" for i in range(a.shape[1])], a)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,6 @@ __all__ = [
     "dnear",
     "sn",
     "snd",
-    "region_union",
     "map_region",
     "check_axioms",
     "spc_check",
@@ -478,24 +477,6 @@ def snd(
     return eng.snd(A, iA, B, iB)
 
 
-def _merged_region(points: np.ndarray, flags: np.ndarray, combine) -> Region:
-    """Points merged within POINT_TOL, each group's interior flags folded by combine."""
-    keep, group = _merge(point_close(points, points))
-    interior = np.full(keep.size, combine.identity, dtype=bool)
-    combine.at(interior, group, flags)
-    pts = points[keep]
-    order = np.lexsort(pts.T[::-1])
-    return Region(pts[order], interior[order])
-
-
-def region_union(a: Region, b: Region) -> Region:
-    """Union of labeled regions; a merged point is interior if either copy is."""
-    _same_dimension(a, b)
-    pts = np.concatenate([a.points, b.points])
-    flags = np.concatenate([a.interior, b.interior])
-    return _merged_region(pts, flags, np.logical_or)
-
-
 def map_region(f: Callable[[np.ndarray], np.ndarray], region: Region) -> Region:
     """Image of a labeled region under a row-wise point map.
 
@@ -508,7 +489,12 @@ def map_region(f: Callable[[np.ndarray], np.ndarray], region: Region) -> Region:
     """
     name = getattr(f, "__name__", type(f).__name__)
     images = value_table(f(region.points), region.points.shape, f"region map {name!r}")
-    return _merged_region(images, region.interior, np.logical_and)
+    keep, group = _merge(point_close(images, images))
+    interior = np.ones(keep.size, dtype=bool)
+    np.logical_and.at(interior, group, region.interior)
+    pts = images[keep]
+    order = np.lexsort(pts.T[::-1])
+    return Region(pts[order], interior[order])
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,21 @@ def test_petty_command(capsys, square_file):
     assert doc["results"] == {"antipodal": True, "points": 4}
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["0,0\n1e300,0\n0,1e300\n", "0,0\n1e4,0\n0,1e4\n1e4,1e4\n"],
+    ids=["huge-triangle", "square-1e4"],
+)
+def test_petty_command_on_large_coordinates(capsys, tmp_path, body):
+    # warnings are errors in this suite, so an overflow would fail the run
+    p = tmp_path / "large.csv"
+    p.write_text("x1,x2\n" + body)
+    rc = run_command(["antipodes", "petty", "--points", str(p)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert json.loads(captured.out)["results"]["antipodal"] is True
+
+
 def test_axioms_check_all_families(capsys, square_file):
     for family in ("Lodato-descriptive", "strong", "descriptive-strong"):
         doc = run_json(
@@ -416,6 +431,7 @@ _BUT = ["but", "search", "--descriptor", "even-coords"]
         ([*_BUT, "--mode", "points", "--grid", "n=3", "density=2"], 1, "supports grid n=1 or n=2"),
         ([*_BUT, "--mode", "strings", "--grid", "n=2", "density=8"], 1, "strings mode builds circle arcs"),
         ([*_BUT, "--mode", "sheets", "--grid", "n=2", "density=8"], 1, "sheets mode builds circle arcs"),
+        (["axioms", "check", "--family", "descriptive", "--space", "SPACE"], 1, "unknown family 'descriptive'"),
     ],
 )
 def test_cli_refuses_invalid_input_with_one_error_line(capsys, tmp_path, square_file, argv, code, message):

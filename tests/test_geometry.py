@@ -26,7 +26,7 @@ from proxitop import (
     worldsheet_cover_check,
     worldsheets_antipodal,
 )
-from proxitop.geometry import POINT_TOL, _petty_directions, point_polyline_distance, point_segment_distance
+from proxitop.geometry import POINT_TOL, _petty_directions, _segment_distances
 
 
 def test_witness_for_distinct_points():
@@ -114,6 +114,37 @@ def test_petty_obtuse_triangle_true():
     pts = [[0.0, 0.0], [2.0, 0.0], [3.0, 2.0]]
     assert petty_antipodal_set(pts)
     assert _petty_oracle(pts)
+
+
+_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        _SQUARE * 1e4,
+        _SQUARE * 1e6,
+        _SQUARE @ np.array([[3.0, 1.0], [-0.7, 2.0]]).T * 1e4 + [5e3, -2e3],
+        _SQUARE @ np.array([[1.3, -2.1], [0.4, 0.9]]).T * 1e6 + [1e6, 3e5],
+    ],
+    ids=["square-1e4", "square-1e6", "parallelogram-1e4", "parallelogram-1e6"],
+)
+def test_petty_large_parallelograms_keep_their_critical_ties(pts):
+    # a critical direction rebuilt from its angle rounded to 12 decimals
+    # tilts by about 1e-13, which times a side of 1e4 already exceeds
+    # POINT_TOL; the exact critical rows keep the ties of each side
+    assert petty_antipodal_set(pts)
+    assert _petty_oracle(pts)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [[[0.0, 0.0], [1e300, 0.0], [0.0, 1e300]], list(itertools.product([0.0, 1e300], repeat=3))],
+    ids=["triangle", "cube"],
+)
+def test_petty_huge_coordinates_decide_without_overflow(pts):
+    # warnings are errors in this suite: no norm may overflow on finite input
+    assert petty_antipodal_set(pts)
 
 
 def test_petty_agrees_with_lp_oracle():
@@ -235,7 +266,7 @@ def test_petty_cube_vertices_are_antipodal(n):
 
 def test_string_path_basic():
     s = StringPath([[0, 0], [1, 0], [1, 1]])
-    assert s.vertex_count == 3
+    assert s.vertices.shape == (3, 2)
     assert not s.closed
     segs = s.segments()
     assert segs.shape == (2, 2, 2)
@@ -291,24 +322,39 @@ _SPACE = StringPath([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
 _MIXED = "cannot measure between dimensions 2 and 3"
 
 
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        ([[0.0, 0.0], [1.0, 0.0]], [[1e200, 0.0], [1e200, 1.0]], 1e200),
+        # the kernel squares 2x2 minors of the sides: fourth powers of 1e100
+        ([[0.0, 0.0], [1e100, 0.0]], [[0.0, 1e100], [1e100, 2e100]], 1e100),
+    ],
+)
+def test_polyline_min_distance_of_far_strings_is_finite(a, b, want):
+    # warnings are errors in this suite: no product may overflow on the way
+    assert polyline_min_distance(StringPath(a), StringPath(b)) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # a far vertex elsewhere in the string leaves the crossing pair unscaled
+        ([[-1e-3, 0.0], [1e-3, 0.0]], [[-1e-3, -1e-3], [1e-3, 1e-3], [1e150, 0.0]]),
+        # the pair is scaled only below 2**240, so its short side stays a segment
+        ([[-1e150, 0.0], [1e150, 0.0]], [[0.0, -1e-8], [0.0, 1e-8]]),
+    ],
+    ids=["far-vertex", "long-side"],
+)
+def test_crossing_strings_with_far_vertices_touch(a, b):
+    a, b = StringPath(a), StringPath(b)
+    assert polyline_min_distance(a, b) == 0.0
+    sheets = [Worldsheet(Region.from_points(s.vertices), (s,), 1e-6) for s in (a, b)]
+    assert not worldsheets_antipodal(*sheets)
+
+
 def test_polyline_min_distance_refuses_mixed_dimensions():
     with pytest.raises(ValueError, match=_MIXED):
         polyline_min_distance(_FLAT, _SPACE)
-
-
-def test_point_polyline_distance_refuses_mixed_dimensions():
-    with pytest.raises(ValueError, match=_MIXED):
-        point_polyline_distance([0.0, 1.0], _SPACE)
-
-
-def test_point_segment_distance_refuses_mixed_dimensions():
-    with pytest.raises(ValueError, match=_MIXED):
-        point_segment_distance([0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_point_segment_distance_refuses_segment_ends_of_mixed_dimensions():
-    with pytest.raises(ValueError, match=_MIXED):
-        point_segment_distance([0.0, 1.0], [0.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_antipodal_point_witness_refuses_mixed_dimensions():
@@ -437,7 +483,8 @@ def _string(draw, n):
 @given(pair=_segment_pair())
 def test_segment_distances_match_exact_oracle(pair):
     p1, q1, p2, q2 = pair
-    assert point_segment_distance(p1, p2, q2) == pytest.approx(_exact_distance(p1, p1, p2, q2), abs=1e-9)
+    got = _segment_distances(p1[None, None], np.stack([p2, q2])[None])[0, 0]
+    assert got == pytest.approx(_exact_distance(p1, p1, p2, q2), abs=1e-9)
     if np.any(p1 != q1) and np.any(p2 != q2):
         got = polyline_min_distance(StringPath([p1, q1]), StringPath([p2, q2]))
         assert got == pytest.approx(_exact_distance(p1, q1, p2, q2), abs=1e-9)
@@ -450,7 +497,7 @@ def test_polyline_distances_match_exact_oracle(data):
     a, b = _string(data.draw, n), _string(data.draw, n)
     p = data.draw(_lattice_points(n, min_size=1, max_size=1))[0]
     assert polyline_min_distance(a, b) == pytest.approx(_exact_between(a, b), abs=1e-9)
-    assert point_polyline_distance(p, a) == pytest.approx(_exact_to_string(p, a), abs=1e-9)
+    assert _segment_distances(p[None, None], a.segments()).min() == pytest.approx(_exact_to_string(p, a), abs=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -493,7 +540,7 @@ def test_sphere_sample_properties(n, density):
     g = sphere_sample(n, density)
     assert g.size == 2 * density
     assert g.dimension == n and type(g.dimension) is int
-    assert g.ambient_dimension == n + 1
+    assert g.samples.shape[1] == n + 1
     norms = np.linalg.norm(g.samples, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
     idx = g.antipode_index
@@ -543,6 +590,10 @@ _CIRCLE = sphere_sample(1, 2)
         (lambda: StringPath([[0.0, 0.0], [1e200, 1e200]]), "too far apart"),
         # the open string is accepted; only its wrap edge overflows
         (lambda: StringPath([[-1e154, 0.0], [0.0, 0.0], [1e154, 0.0]], closed=True), "too far apart"),
+        (
+            lambda: polyline_min_distance(StringPath([[-1e308, 0.0], [-1e308, 1.0]]), StringPath([[1e308, 0.0], [1e308, 1.0]])),
+            "distance between them overflows",
+        ),
         (lambda: Region([[0.0, 0.0], [1.0, 1.0]], [True]), "one flag per point"),
         (lambda: Worldsheet(Region.from_points([[0.0, 0.0]]), (), 0.5), "at least one string"),
         (lambda: Worldsheet(Region.from_points([[0.0, 0.0, 0.0]]), (_SEGMENT,), 0.5), "share one dimension"),

@@ -22,7 +22,6 @@ from proxitop import (
     load_points_csv,
     load_trace_csv,
     save_curve_csv,
-    save_points_csv,
     torus_grid,
 )
 from proxitop.io import _OBJ_BLOCK, _face_lines, _json_text
@@ -71,10 +70,15 @@ def test_trace_wrong_arity(tmp_path):
 # -- point CSV --------------------------------------------------------------
 
 
+def _point_csv(a):
+    """A point CSV of a's rows as shortest round-trip floats."""
+    header = ",".join(f"x{i + 1}" for i in range(a.shape[1]))
+    return "\n".join([header] + [",".join(map(repr, row)) for row in a.tolist()]) + "\n"
+
+
 def test_points_round_trip(tmp_path):
     pts = np.array([[0.1, 0.2], [0.3, 0.4], [1.0 / 3.0, 2.0 / 3.0]])
-    p = tmp_path / "pts.csv"
-    save_points_csv(p, pts)
+    p = write(tmp_path, "pts.csv", _point_csv(pts))
     back = load_points_csv(p)
     assert np.array_equal(back, pts)  # repr floats survive the trip bit-exact
 
@@ -318,12 +322,12 @@ def test_written_tables_load_back_bit_exact(tmp_path_factory, width, values, cur
         assert text.startswith("x,y,z\n")
         p.write_text("x1,x2,x3\n" + text[len("x,y,z\n") :])
     else:
-        save_points_csv(p, a)
+        p.write_text(_point_csv(a))
     back = load_points_csv(p)
     assert back.shape == a.shape and back.tobytes() == a.tobytes()
 
 
-@pytest.mark.parametrize("save", [save_points_csv, save_curve_csv])
+@pytest.mark.parametrize("save", [save_curve_csv])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_writers_refuse_non_finite_values_before_opening_the_file(tmp_path, save, bad):
     p = tmp_path / "never.csv"
@@ -645,7 +649,6 @@ def test_file_digest_stable(tmp_path):
     [
         (lambda p: save_curve_csv(p, np.zeros((2, 2))), r"curve must be an \(m, 3\) array"),
         (lambda p: save_curve_csv(p, np.zeros(3)), r"curve must be an \(m, 3\) array"),
-        (lambda p: save_points_csv(p, np.zeros((0, 2))), r"point set must be a nonempty \(m, n\) array"),
         (lambda p: MeshDocument(np.zeros((4, 2)), [[0, 1, 2, 3]]), r"nonempty \(m, 3\) array"),
         (lambda p: MeshDocument(np.zeros((0, 3)), np.zeros((0, 4), int)), r"nonempty \(m, 3\) array"),
         (lambda p: MeshDocument([[0.0, 0.0, np.nan]] * 4, [[0, 1, 2, 3]]), "mesh vertices must be finite"),

@@ -19,7 +19,6 @@ from proxitop import (
     feature_map_from_config,
     map_region,
     pointwise,
-    region_union,
     sample_region_pairs,
     sn,
     snd,
@@ -257,16 +256,6 @@ def test_snd_singleton_pair_matches_descriptions():
     r = Region.from_points([[1.0, 0.0]])
     assert snd(p, q, fm)  # both norm 5
     assert not snd(p, r, fm)
-
-
-def test_region_union_merges_and_keeps_interior_or():
-    a = Region.from_points([[0.0, 0.0], [1.0, 0.0]], interior=[True, False])
-    b = Region.from_points([[1.0, 0.0], [2.0, 0.0]], interior=[True, False])
-    u = region_union(a, b)
-    assert u.size == 3
-    # (1,0) interior in b wins over boundary label in a
-    k = int(np.flatnonzero(np.all(np.isclose(u.points, [1.0, 0.0]), axis=1))[0])
-    assert bool(u.interior[k])
 
 
 def test_map_region_interior_needs_all_preimages_interior():
