@@ -355,9 +355,13 @@ def _petty_directions(pts: np.ndarray) -> np.ndarray:
     """
     m, n = pts.shape
     i, j = np.triu_indices(m, 1)
-    d = pts[i] - pts[j]
-    with np.errstate(over="ignore"):  # a norm that overflows is still above tol
-        d = d[np.linalg.norm(d, axis=1) > POINT_TOL]
+    with np.errstate(over="ignore"):
+        d = pts[i] - pts[j]
+        # a difference that overflows is rebuilt from halves: halving is exact
+        # for normal numbers, and only the row's direction is read
+        big = ~np.isfinite(d).all(axis=1)
+        d[big] = pts[i[big]] / 2 - pts[j[big]] / 2
+        d = d[np.linalg.norm(d, axis=1) > POINT_TOL]  # a norm that overflows is still above tol
     if n == 2:
         perp = np.stack([-d[:, 1], d[:, 0]], axis=1)
         crit = np.concatenate([d, perp, np.eye(2)])
@@ -402,7 +406,8 @@ def petty_antipodal_set(points) -> bool:
     proj = pts @ dirs.T
     floor = proj.min(axis=0) + POINT_TOL
     ceil = proj.max(axis=0) - POINT_TOL
-    sure = ceil - floor > POINT_TOL
+    with np.errstate(over="ignore"):  # a width that overflows does exceed tol
+        sure = ceil - floor > POINT_TOL
     # 0/1 tables; a sum of nonnegative 0/1 terms never rounds to 0, so the
     # float32 product counts a witness direction exactly when there is one
     at_lo = np.less_equal(proj, floor, out=np.empty(proj.shape, np.float32))

@@ -16,22 +16,25 @@ When a `universe` region is supplied, either argument whose point set equals
 the whole universe is near everything nonempty; plain two-argument calls do
 not apply that clause.
 
-One kernel decides all three relations. It numbers a list of points, writes
-subsets as int bit masks, and keeps two tables of bit rows: which points are
-the same point (within POINT_TOL) and which descriptions match (within tau).
-sn and snd are one method over these sameness rows: point identity for sn,
-description matching for snd. The public relations build the kernel over
-the points of A followed by those of B; check_axioms builds it once over a
-space's universe, whose points must be distinct, and evaluates every draw
-on it.
+One kernel decides all three relations. It numbers a list of points,
+writes a subset as a bool row with one column per point, and keeps two
+tables: which points are the same point (within POINT_TOL) and which
+descriptions match (within tau). A relation is a matrix product of rows
+and a table, evaluated for a whole table of rows at once. sn and snd are
+one method over these sameness tables: point identity for sn, description
+matching for snd. The public relations build the kernel over the points of
+A followed by those of B and ask it one row; check_axioms builds it once
+over a space's universe, whose points must be distinct.
 
 check_axioms stress-tests the relations: it samples labeled subregions of a
 space with a seeded generator and asserts every axiom of the requested
-family, reporting violations with witnesses. Its draws are decoded in blocks
-from the seed's PCG64 raw stream, identical to Generator.random and
-Generator.integers, so reports depend only on that stream. Like the kernel,
-the strong and descriptive-strong families share one trial loop over the
-family's sameness rows; on a universe the point-identity rows are the
+family, reporting violations with witnesses. Trials run in windows: a
+window's draws are decoded from the seed's PCG64 raw stream into bool
+tables, one row per region, identical to Generator.random and
+Generator.integers, so reports depend only on that stream; every axiom is
+then a numpy reduction over the window's tables. Like the kernel, the
+strong and descriptive-strong families share one set of checks over the
+family's sameness table; on a universe the point-identity table is the
 identity, so each strong axiom reads as its textbook form. Universal-premise
 axioms that need exhaustive quantification (the descriptive transitivity and
 point-equality axioms) are additionally verified over every subset pair or
@@ -41,9 +44,10 @@ triple when the universe has at most EXHAUSTIVE_LIMIT points.
 from __future__ import annotations
 
 import numbers
+import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial, wraps
+from functools import cached_property, lru_cache, partial, wraps
 from typing import Callable, Iterable
 
 import numpy as np
@@ -63,7 +67,13 @@ from .geometry import (
 )
 
 EXHAUSTIVE_LIMIT = 6
-BLOCK = 4096
+WINDOW = 128  # axiom trials decoded and checked at a time
+BLOCK = 4096  # fewest PCG64 raw outputs read at a time
+
+# the double (raw >> 11) * 2**-53 of a raw output is below 0.55 iff raw < _IN
+# (2**53 * 0.55 is an integer, as 0.55 lies in [0.5, 1)), below 0.6 iff raw < _INTERIOR
+_IN = int(0.55 * 2**53) << 11
+_INTERIOR = int(0.6 * 2**53) << 11
 
 FAMILY_DESCRIPTIVE = "Lodato-descriptive"
 FAMILY_STRONG = "strong"
@@ -202,8 +212,8 @@ class DescriptiveSpace:
     """Finite universe of distinct points with a feature map.
 
     Two universe points within POINT_TOL of each other are an error: the
-    axiom harness gives every universe row its own bit, and a repeated
-    point would let two different masks name one point set.
+    axiom harness gives every universe row its own column, and a repeated
+    point would let two different rows name one point set.
     """
 
     universe: np.ndarray
@@ -262,7 +272,7 @@ class DescriptiveSpace:
 
 def _description_close(F: np.ndarray, G: np.ndarray, tol: float) -> np.ndarray:
     """Boolean (len(F), len(G)) table: descriptions match component-wise within tol."""
-    return np.max(np.abs(F[:, None, :] - G[None, :, :]), axis=2) <= tol
+    return np.abs(F[:, None, :] - G[None, :, :]).max(axis=2) <= tol
 
 
 def _merge(close: np.ndarray) -> tuple:
@@ -285,44 +295,30 @@ def _merge(close: np.ndarray) -> tuple:
     return np.array(reps, dtype=int), group
 
 
-def _bits(flags) -> int:
-    """The int whose bit i is set iff flags[i] is true."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+def _overlap(table: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row by row: some x in X and y in Y have table[x, y] (rows broadcast).
 
-
-def _row_bits(table) -> list:
-    """[_bits(row) for row in table], from one packbits call over the table."""
-    packed = np.packbits(table, axis=1, bitorder="little")
-    raw, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[k * width : (k + 1) * width], "little") for k in range(len(packed))]
-
-
-def _members(mask: int) -> list:
-    """The set bits of mask, ascending: the indices of the points it names."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _meets(rows: list, A: int, B: int) -> bool:
-    """Some x in A has a row that meets B (rows must be reflexive)."""
-    if A & B:
-        return True
-    while A:
-        low = A & -A
-        if rows[low.bit_length() - 1] & B:
-            return True
-        A ^= low
-    return False
+    table is 0/1 float32; the products X @ table @ Y count at most m * m
+    ones, exact in float32.
+    """
+    XT, Y = X.astype(np.float32) @ table, Y.astype(np.float32)
+    if XT.ndim == 2 and Y.ndim == 3 and Y.shape[1] == 1:
+        # a table of query rows against every row of a block: one product
+        return Y[:, 0] @ XT.T > 0
+    return np.einsum("...j,...j->...", XT, Y) > 0
 
 
 class _MaskEngine:
-    """The one relation kernel: dnear, sn and snd over subsets of a point list.
+    """The one relation kernel: dnear, sn and snd over labeled subsets of a point list.
 
-    Subsets are ints; bit x is point x. Labeled regions are (mask,
-    interior_mask) pairs. same_rows[x] holds the points within POINT_TOL of
-    x and match_rows[x] the points whose descriptions match that of x; both
-    relations are reflexive and symmetric, which the relations below rely
-    on. The empty set is far from everything, and the full mask (the whole
-    space) is near every nonempty region.
+    A subset is a bool row with one column per point, a labeled region a
+    (row, interior row) pair. A relation takes tables of rows of any shapes
+    that broadcast and answers row by row, False where `where` is False: a
+    public call is a block of one, check_axioms a window of trials. same[x]
+    holds the points within POINT_TOL of x and match[x] those whose
+    descriptions match that of x; both are reflexive and symmetric, which
+    the relations rely on. The empty set is far from everything, and the
+    full row (the whole space) is near every nonempty region.
     """
 
     def __init__(self, points, match: np.ndarray | None = None):
@@ -332,48 +328,47 @@ class _MaskEngine:
             points, match = points.universe, points.match_matrix
         self.points = points
         self.m = len(points)
-        self.full = (1 << self.m) - 1
-        self.match_rows = None if match is None else _row_bits(match)
+        self.match = None if match is None else match.astype(np.float32)
 
     @cached_property
-    def same_rows(self) -> list:
-        # only sn reads point identity, so the rows are built on first use
-        return _row_bits(point_close(self.points, self.points))
+    def same(self) -> np.ndarray:
+        # only sn reads point identity, so the table is built on first use
+        return point_close(self.points, self.points).astype(np.float32)
 
-    def dnear(self, A: int, B: int) -> bool:
-        return _meets(self.match_rows, A, B)
+    @cached_property
+    def eye(self) -> np.ndarray:  # row x is the singleton {x}
+        return np.eye(self.m, dtype=bool)
 
-    def sn(self, A: int, iA: int, B: int, iB: int) -> bool:
-        return self._strong(self.same_rows, A, iA, B, iB)
+    def dnear(self, A, B, where=True):
+        return _overlap(self.match, A, B) & where
 
-    def snd(self, A: int, iA: int, B: int, iB: int) -> bool:
-        return self._strong(self.match_rows, A, iA, B, iB)
+    def sn(self, A, iA, B, iB, where=True):
+        return self._strong(self.same, A, iA, B, iB) & where
 
-    def _strong(self, rows: list, A: int, iA: int, B: int, iB: int) -> bool:
-        # rows is point identity for sn and description matching for snd
-        if A == 0 or B == 0:
-            return False
-        if A == self.full or B == self.full:
-            return True
-        if A & (A - 1) == 0:
-            # {x} against the interior of B, or against B itself when B is
-            # a singleton too
-            return bool(rows[A.bit_length() - 1] & (B if B & (B - 1) == 0 else iB))
-        if B & (B - 1) == 0:
-            return bool(rows[B.bit_length() - 1] & iA)
-        return _meets(rows, iA, iB)
+    def snd(self, A, iA, B, iB, where=True):
+        return self._strong(self.match, A, iA, B, iB) & where
 
-    def region(self, mask: int, imask: int) -> Region | None:
-        if mask == 0:
+    def _strong(self, table, A, iA, B, iB):
+        # table is point identity for sn and description matching for snd.
+        # {x} is read against the interior of B, or against B itself when B
+        # is a singleton too; two larger regions by their interiors (an
+        # interior row lies inside its region's row)
+        nA, nB = np.add.reduce(A, -1), np.add.reduce(B, -1)
+        left = iA | (A & (nA == 1)[..., None])
+        right = iB | (B & (nB == 1)[..., None])
+        whole = np.maximum(nA, nB) == self.m
+        return (np.minimum(nA, nB) > 0) & (whole | _overlap(table, left, right))
+
+    def region(self, row: np.ndarray, inner: np.ndarray) -> Region | None:
+        if not row.any():
             return None
-        idx = _members(mask)
-        return Region(self.points[idx], np.array([imask >> i & 1 for i in idx], dtype=bool))
+        return Region(self.points[row], inner[row])
 
 
 def _pair(a: Region, b: Region, features: FeatureMap | None = None) -> tuple:
     """Kernel over the points of A followed by those of B.
 
-    Returns (engine, A, iA, B, iB) with both regions as bit masks.
+    Returns (engine, A, iA, B, iB) with both regions as bool rows.
     """
     _same_dimension(a, b)
     pts = np.concatenate([a.points, b.points])
@@ -382,9 +377,9 @@ def _pair(a: Region, b: Region, features: FeatureMap | None = None) -> tuple:
         F = features.rows(pts)
         match = _description_close(F, F, features.match_tolerance)
     eng = _MaskEngine(pts, match)
-    A = (1 << a.size) - 1
-    interior = _bits(np.concatenate([a.interior, b.interior]))
-    return eng, A, interior & A, eng.full ^ A, interior & ~A
+    A = np.arange(eng.m) < a.size
+    interior = np.concatenate([a.interior, b.interior])
+    return eng, A, interior & A, ~A, interior & ~A
 
 
 def _same_dimension(*regions) -> None:
@@ -422,8 +417,8 @@ def descriptive_intersection(a: Region, b: Region, features: FeatureMap) -> np.n
     canonical lexicographic order; tau = 0 gives the exact textbook set.
     """
     eng, A, _, B, _ = _pair(a, b, features)
-    hits = [x for x in range(eng.m) if eng.match_rows[x] & A and eng.match_rows[x] & B]
-    if not hits:
+    hits = (eng.match @ A > 0) & (eng.match @ B > 0)
+    if not hits.any():
         return np.empty((0, a.dimension))
     pts = eng.points[hits]
     keep, _ = _merge(point_close(pts, pts))
@@ -436,7 +431,7 @@ def dnear(a: Region, b: Region, features: FeatureMap) -> bool:
     Equivalently, some a in A and b in B have matching descriptions.
     """
     eng, A, _, B, _ = _pair(a, b, features)
-    return eng.dnear(A, B)
+    return bool(eng.dnear(A, B))
 
 
 def sn(a: Region, b: Region, universe: Region | None = None) -> bool:
@@ -453,7 +448,7 @@ def sn(a: Region, b: Region, universe: Region | None = None) -> bool:
     if _whole_space(a, universe) or _whole_space(b, universe):
         return True
     eng, A, iA, B, iB = _pair(a, b)
-    return eng.sn(A, iA, B, iB)
+    return bool(eng.sn(A, iA, B, iB))
 
 
 def snd(
@@ -474,7 +469,7 @@ def snd(
     if _whole_space(a, universe) or _whole_space(b, universe):
         return True
     eng, A, iA, B, iB = _pair(a, b, features)
-    return eng.snd(A, iA, B, iB)
+    return bool(eng.snd(A, iA, B, iB))
 
 
 def map_region(f: Callable[[np.ndarray], np.ndarray], region: Region) -> Region:
@@ -523,58 +518,116 @@ class AxiomReport:
         }
 
 
-def _witness(**masks) -> dict:
-    out = {}
-    for k, v in masks.items():
-        if isinstance(v, tuple):
-            out[k] = {"points": _members(v[0]), "interior": _members(v[1])}
-        else:
-            out[k] = int(v)
+def _violations(checks: list, first: int) -> list:
+    """Witnesses of a window's failed checks, by trial and then in check order.
+
+    checks lists (axiom, one flag per trial, fields); a field is a (rows,
+    interior rows) pair of tables or one int per trial. first numbers the
+    window's first trial.
+    """
+    out = []
+    for t, c in zip(*np.nonzero(np.stack([flags for _, flags, _ in checks], axis=1))):
+        axiom, _, fields = checks[c]
+        w = {
+            k: {"points": np.flatnonzero(v[0][t]).tolist(), "interior": np.flatnonzero(v[1][t]).tolist()}
+            if isinstance(v, tuple) else int(v[t])
+            for k, v in fields.items()
+        }
+        w.update(axiom=axiom, trial=first + int(t))
+        out.append(w)
     return out
 
 
 def _relation_adapter(engine: _MaskEngine, relation, family: str):
-    """Wrap an injected Region-level relation (None stands for the empty set)."""
+    """Wrap an injected Region-level relation as a relation on bool rows.
+
+    It is called once per row where `where` holds (False elsewhere), on one
+    Region per labeled subset, None for the empty set. A Lodato-descriptive
+    relation takes (A, B), the others (A, iA, B, iB).
+    """
     cache: dict = {}
 
-    def reg(mask, imask):
-        key = (mask, imask)
+    def reg(row, inner):
+        key = (row.tobytes(), inner.tobytes())
         if key not in cache:
-            cache[key] = engine.region(mask, imask)
+            cache[key] = engine.region(row, inner)
         return cache[key]
 
+    def rel(*tables, where=True):
+        tables = np.broadcast_arrays(*tables)
+        shape = tables[0].shape[:-1]
+        A, iA, B, iB = (t.reshape(-1, engine.m) for t in tables)
+        out = np.zeros(A.shape[0], dtype=bool)
+        for i in np.flatnonzero(np.broadcast_to(where, shape)):
+            out[i] = relation(reg(A[i], iA[i]), reg(B[i], iB[i]))
+        return out.reshape(shape)
+
     if family == FAMILY_DESCRIPTIVE:
-        return lambda A, B: bool(relation(reg(A, A), reg(B, B)))
-    return lambda A, iA, B, iB: bool(relation(reg(A, iA), reg(B, iB)))
+        return lambda A, B, where=True: rel(A, A, B, B, where=where)
+    return rel
+
+
+@lru_cache(maxsize=256)
+def _decisions(n: int) -> re.Pattern:
+    # a decision is one out-flag, or an in-flag and the output read after it
+    return re.compile(rb"(?:\x00|\x01[\x00\x01]){%d}" % n)
 
 
 class _Draws:
-    """The draws of np.random.default_rng(seed), decoded in blocks.
+    """The draws of np.random.default_rng(seed), decoded a window at a time.
 
-    Reads the seed's PCG64 raw outputs BLOCK at a time (O'Neill, PCG, 2014)
-    and gives bit for bit what Generator.random() and
-    Generator.integers(lo, hi) give for the same call sequence. A double is
-    PCG64's next_double, read by _sample_labeled from the doubles list at
-    pos; integers is numpy's Lemire rejection (ACM TOMACS 2019) over 32-bit
-    draws, each raw output giving its low half and then its high half.
-    Raw outputs read past the last one used are dropped with the object.
+    Reads the seed's PCG64 raw outputs, BLOCK or more at a time (O'Neill,
+    PCG, 2014), and gives bit for bit what Generator.random() and
+    Generator.integers(lo, hi) give for the same call sequence. A labeled
+    point is one decision, a Generator.random() < 0.55 (in), and an in point
+    reads one more, < 0.6 (interior); both are exact integer comparisons of
+    the raw outputs. chain passes n decisions with one regular-expression
+    match over the outputs' in-flags; integers is numpy's Lemire rejection
+    (ACM TOMACS 2019) over 32-bit draws, each raw output giving its low half
+    and then its high half; decisions() reads a window's decisions back.
     """
 
     def __init__(self, seed):
-        self._bits = np.random.default_rng(seed).bit_generator
-        self.raw: list = []
-        self.doubles: list = []
+        self._stream = np.random.default_rng(seed).bit_generator
+        self.raw = np.empty(0, dtype=np.uint64)
+        self.flags = bytearray()  # 1 where the output's double is below 0.55
         self.pos = 0
+        self.taken: list = []  # positions integers read in this window
         self._high = None
 
-    def ahead(self, k: int) -> list:
-        """The double list, with at least k unread entries from pos on."""
-        while len(self.doubles) - self.pos < k:
-            raw = self._bits.random_raw(BLOCK)
-            self.raw = self.raw[self.pos:] + raw.tolist()
-            self.doubles = self.doubles[self.pos:] + ((raw >> 11) * 2.0**-53).tolist()
-            self.pos = 0
-        return self.doubles
+    def _read(self):
+        raw = self._stream.random_raw(max(BLOCK, self.raw.size))
+        self.raw = np.concatenate([self.raw, raw])
+        self.flags += (raw < _IN).tobytes()
+
+    def chain(self, n: int):
+        """Pass n decisions: n labeled points, in draw order."""
+        pattern = _decisions(n)
+        while (hit := pattern.match(self.flags, self.pos)) is None:
+            self._read()
+        self.pos = hit.end()
+
+    def decisions(self) -> tuple:
+        """(member, interior) flags of the window's decisions, in draw order; a new window begins."""
+        raw = self.raw[: self.pos]
+        member = raw < _IN
+        # after an out-flag or an integer draw's output a decision starts, and
+        # from there decisions alternate with interior reads along in-flags.
+        # after[p] is p + 1 at such a start, so gap[p] becomes p less the
+        # last start before it (the window opens at -1): decisions are odd
+        gap = np.arange(1, raw.size + 1, dtype=np.int32)
+        after = gap * ~member
+        after[self.taken] = gap[self.taken]
+        gap[1:] -= np.maximum.accumulate(after, out=after)[:-1]
+        odd = (gap & 1).astype(bool)
+        odd[self.taken] = False
+        at = np.flatnonzero(odd)
+        member = member[at]
+        interior = np.zeros_like(member)
+        interior[member] = raw[at[member] + 1] < _INTERIOR
+        self.raw, self.pos, self.taken = self.raw[self.pos :], 0, []
+        del self.flags[: raw.size]
+        return member, interior
 
     def integers(self, lo: int, hi: int) -> int:
         n = hi - lo
@@ -584,8 +637,10 @@ class _Draws:
             return lo
         while True:
             if self._high is None:
-                self.ahead(1)
-                r = self.raw[self.pos]
+                if self.pos == self.raw.size:
+                    self._read()
+                r = int(self.raw[self.pos])
+                self.taken.append(self.pos)
                 self.pos += 1
                 u, self._high = r & 0xFFFFFFFF, r >> 32
             else:
@@ -593,23 +648,6 @@ class _Draws:
             prod = u * n
             if prod & 0xFFFFFFFF >= ((1 << 32) - n) % n:
                 return lo + (prod >> 32)
-
-
-def _sample_labeled(draws: _Draws, m: int):
-    """A labeled subset of m points: each is in with chance 0.55, then interior with chance 0.6."""
-    d = draws.ahead(2 * m)
-    i = draws.pos
-    mask = imask = 0
-    for bit in range(m):
-        if d[i] < 0.55:
-            mask |= 1 << bit
-            if d[i + 1] < 0.6:
-                imask |= 1 << bit
-            i += 2
-        else:
-            i += 1
-    draws.pos = i
-    return mask, imask
 
 
 def _finite_real(value) -> bool:
@@ -632,71 +670,128 @@ def check_axioms(
     and singleton cases) and asserts each axiom on them; for the
     Lodato-descriptive family on universes of at most EXHAUSTIVE_LIMIT
     points, the union, transitivity, and point-equality axioms are also
-    verified exhaustively over all subset pairs and triples. The strong and
-    descriptive-strong families run one trial loop over the family's
-    sameness rows (point identity, description matching); only the strong
-    family has the union axiom. Violations are reported in draw order with
-    witnesses. Draws are decoded in blocks from the PCG64 raw stream of
-    np.random.default_rng(seed), identical to Generator.random and
-    Generator.integers, so a report depends only on that stream. trials must
-    be an int (not a bool).
+    verified exhaustively over all subset pairs and triples. Trials run
+    WINDOW at a time: a window's draws are decoded into bool tables, one row
+    per region, and each axiom is a numpy reduction over them. The strong
+    and descriptive-strong families share one set of checks over the
+    family's sameness table (point identity, description matching); only
+    the strong family has the union axiom. Violations are reported by trial
+    and then in axiom order, with witnesses. Draws are decoded from the
+    PCG64 raw stream of np.random.default_rng(seed), identical to
+    Generator.random and Generator.integers, so a report depends only on
+    that stream. trials must be an int (not a bool).
 
     `relation` optionally replaces the implemented relation of the family
     (for deliberately broken variants); it receives Region arguments, or
-    None for the empty set, and is evaluated on a slower path.
+    None for the empty set, and is called only where a check reads it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, expected one of {', '.join(FAMILIES)}")
     trials = _count(trials, "trials")
     eng = _MaskEngine(space)
-    m = eng.m
+    rel = {FAMILY_DESCRIPTIVE: eng.dnear, FAMILY_STRONG: eng.sn, FAMILY_DESCRIPTIVE_STRONG: eng.snd}[family]
+    rel = rel if relation is None else _relation_adapter(eng, relation, family)
     draws = _Draws(seed)
+    checks = _descriptive_checks if family == FAMILY_DESCRIPTIVE else _strong_checks
     bad: list[dict] = []
-
-    def flag(axiom, trial, **masks):
-        w = _witness(**masks)
-        w.update(axiom=axiom, trial=trial)
-        bad.append(w)
-
-    if family == FAMILY_DESCRIPTIVE:
-        near = eng.dnear if relation is None else _relation_adapter(eng, relation, family)
-        for t in range(trials):
-            A, _ = _sample_labeled(draws, m)
-            B, _ = _sample_labeled(draws, m)
-            C, _ = _sample_labeled(draws, m)
-            x = draws.integers(0, m)
-            y = draws.integers(0, m)
-            if near(0, A) or near(A, 0):
-                flag("dP0", t, a=(A, 0))
-            if near(A, B) != near(B, A):
-                flag("dP1", t, a=(A, A), b=(B, B))
-            if eng.dnear(A, B) and not near(A, B):
-                flag("dP2", t, a=(A, A), b=(B, B))
-            if near(A, B | C) != (near(A, B) or near(A, C)):
-                flag("dP3", t, a=(A, A), b=(B, B), c=(C, C))
-            if near(A, B) and B and all(
-                near(1 << b, C) for b in range(m) if B & (1 << b)
-            ):
-                if not near(A, C):
-                    flag("dP4", t, a=(A, A), b=(B, B), c=(C, C))
-            if near(1 << x, 1 << y) and not eng.match_rows[x] >> y & 1:
-                flag("dP5", t, x=x, y=y)
-        if m <= EXHAUSTIVE_LIMIT and trials > 0:
-            _exhaustive_descriptive(eng, near, bad)
-    elif family == FAMILY_STRONG:
-        rel = eng.sn if relation is None else _relation_adapter(eng, relation, family)
-        _strong_family_trials(eng, rel, eng.same_rows, "snN", draws, trials, flag)
-    else:
-        rel = eng.snd if relation is None else _relation_adapter(eng, relation, family)
-        _strong_family_trials(eng, rel, eng.match_rows, "dsnP", draws, trials, flag)
-
+    for first in range(0, trials, WINDOW):
+        bad += _violations(checks(eng, rel, family, draws, min(WINDOW, trials - first)), first)
+    if family == FAMILY_DESCRIPTIVE and eng.m <= EXHAUSTIVE_LIMIT and trials > 0:
+        _exhaustive_descriptive(eng, rel, bad)
     return AxiomReport(family, trials, tuple(bad))
+
+
+def _descriptive_checks(eng: _MaskEngine, near, family: str, draws: _Draws, n: int) -> list:
+    """The Lodato-descriptive axioms over a window of n trials, each drawing regions A, B, C and points x, y."""
+    m = eng.m
+    xy = []
+    for _ in range(n):
+        draws.chain(3 * m)
+        xy.append((draws.integers(0, m), draws.integers(0, m)))
+    A, B, C = draws.decisions()[0].reshape(n, 3, m).transpose(1, 0, 2)
+    x, y = np.array(xy, dtype=int).reshape(n, 2).T
+    none = np.zeros_like(A)
+    dP0 = near(none, A)
+    dP0 |= near(A, none, where=~dP0)
+    AB = near(A, B)
+    # dP4: A dnear B and every {b} in B dnear C force A dnear C
+    each = AB & B.any(axis=1)
+    each &= ~(B & ~near(eng.eye, C[:, None], where=each[:, None] & B)).any(axis=1)
+    AC = near(A, C, where=~AB | each)
+    ab, abc = dict(a=(A, A), b=(B, B)), dict(a=(A, A), b=(B, B), c=(C, C))
+    return [
+        ("dP0", dP0, dict(a=(A, none))),
+        ("dP1", AB != near(B, A), ab),
+        ("dP2", eng.dnear(A, B) & ~AB, ab),
+        ("dP3", near(A, B | C) != (AB | AC), abc),
+        ("dP4", each & ~AC, abc),
+        ("dP5", near(eng.eye[x], eng.eye[y]) & (eng.match[x, y] == 0), dict(x=x, y=y)),
+    ]
+
+
+def _strong_checks(eng: _MaskEngine, rel, family: str, draws: _Draws, n: int) -> list:
+    """The strong or descriptive-strong axioms over a window of n trials.
+
+    Each trial draws regions A, B and points x, y; the strong family then
+    draws k in 2..3 and k regions for the union axiom n3, which has no
+    descriptive counterpart. The sameness table is eng.same (point identity,
+    ids snN*) or eng.match (description matching, ids dsnP*).
+    """
+    m = eng.m
+    union = family == FAMILY_STRONG
+    same, prefix = (eng.same, "snN") if union else (eng.match, "dsnP")
+    drawn = []
+    for _ in range(n):
+        draws.chain(2 * m)
+        x, y = draws.integers(0, m), draws.integers(0, m)
+        k = draws.integers(2, 4) if union else 0
+        draws.chain(k * m)
+        drawn.append((x, y, k))
+    member, interior = (t.reshape(-1, m) for t in draws.decisions())
+    x, y, k = np.array(drawn, dtype=int).reshape(n, 3).T
+    first = np.cumsum(2 + k) - (2 + k)
+    A, iA, B, iB = member[first], interior[first], member[first + 1], interior[first + 1]
+    none, full = np.zeros(m, dtype=bool), np.ones(m, dtype=bool)
+    # n0: the empty set is far from everything; the whole space is near
+    # every nonempty region
+    empty = rel(none, none, A, iA)
+    empty |= rel(A, iA, none, none, where=~empty)
+    filled = A.any(axis=1)
+    AB = rel(A, iA, B, iB)
+    a, ab = dict(a=(A, iA)), dict(a=(A, iA), b=(B, iB))
+    checks = [
+        (prefix + "0", empty, a),
+        (prefix + "0", filled & ~rel(full, full, A, iA, where=filled), a),
+        (prefix + "1", AB != rel(B, iB, A, iA), ab),
+        (prefix + "2", AB & ~_overlap(same, A, B), ab),
+    ]
+    if union:
+        # n3: nearness to one member with nonempty interior extends to the
+        # union of the family
+        hit = np.zeros(n, dtype=bool)
+        U, iU = np.zeros_like(A), np.zeros_like(A)
+        for j in range(3):
+            row = np.minimum(first + 2 + j, len(member) - 1)
+            Bj, iBj = (np.where((k > j)[:, None], t[row], False) for t in (member, interior))
+            U |= Bj
+            iU |= iBj
+            hit |= rel(A, iA, Bj, iBj, where=iBj.any(axis=1) & ~hit)
+        checks.append((prefix + "3", hit & ~rel(A, iA, U, iU, where=hit), dict(a=(A, iA), union=(U, iU))))
+    X, Y = eng.eye[x], eng.eye[y]
+    inside = _overlap(same, X, iA)
+    return checks + [
+        (prefix + "4", _overlap(same, iA, iB) & ~AB, ab),
+        (prefix + "5", inside & ~rel(X, X, A, iA, where=inside), dict(x=x, a=(A, iA))),
+        (prefix + "6", rel(X, X, Y, Y) != (same[x, y] > 0), dict(x=x, y=y)),
+    ]
 
 
 def _exhaustive_descriptive(eng: _MaskEngine, near, bad: list):
     m, S = eng.m, 1 << eng.m
-    dn = np.array([[near(A, B) for B in range(S)] for A in range(S)], dtype=bool)
     sets = np.arange(S)
+    # row s of P holds the points of subset s; dn[A, B] is near(A, B)
+    P = (sets[:, None] >> np.arange(m) & 1).astype(bool)
+    dn = near(P[:, None], P)
     # dP3 over all triples; the first hit in (A, B, C) order
     hits = dn[:, sets[:, None] | sets] != (dn[:, :, None] | dn[:, None, :])
     if hits.any():
@@ -713,60 +808,11 @@ def _exhaustive_descriptive(eng: _MaskEngine, near, bad: list):
         C, B, A = np.unravel_index(np.argmax(hits), hits.shape)
         bad.append(dict(axiom="dP4", trial=None, phase="exhaustive", a=int(A) + 1, b=int(B) + 1, c=int(C) + 1))
         return
-    # dP5 over all point pairs
-    for x in range(m):
-        for y in range(m):
-            if dn[1 << x, 1 << y] and not eng.match_rows[x] >> y & 1:
-                bad.append(
-                    dict(axiom="dP5", trial=None, phase="exhaustive", x=x, y=y)
-                )
-                return
-
-
-def _strong_family_trials(eng, rel, same, prefix, draws, trials, flag):
-    """Shared trial loop for the strong and descriptive-strong families.
-
-    same is the family's sameness rows, as in _MaskEngine._strong:
-    eng.same_rows (point identity, axiom ids snN*) or eng.match_rows
-    (description matching, ids dsnP*). The union axiom n3 has no
-    descriptive counterpart, so only the strong family checks it.
-    """
-    m = eng.m
-    full = eng.full
-    for t in range(trials):
-        A, iA = _sample_labeled(draws, m)
-        B, iB = _sample_labeled(draws, m)
-        x = draws.integers(0, m)
-        y = draws.integers(0, m)
-        # n0: the empty set is far from everything; the whole space is near
-        # every nonempty region
-        if rel(0, 0, A, iA) or rel(A, iA, 0, 0):
-            flag(prefix + "0", t, a=(A, iA))
-        if A and not rel(full, full, A, iA):
-            flag(prefix + "0", t, a=(A, iA))
-        if rel(A, iA, B, iB) != rel(B, iB, A, iA):
-            flag(prefix + "1", t, a=(A, iA), b=(B, iB))
-        if rel(A, iA, B, iB) and not _meets(same, A, B):
-            flag(prefix + "2", t, a=(A, iA), b=(B, iB))
-        if same is eng.same_rows:
-            # n3: nearness to one member with nonempty interior extends to
-            # the union of the family
-            k = draws.integers(2, 4)
-            fam = [_sample_labeled(draws, m) for _ in range(k)]
-            UB = 0
-            UiB = 0
-            for Bm, iBm in fam:
-                UB |= Bm
-                UiB |= iBm
-            hit = any(iBm and rel(A, iA, Bm, iBm) for Bm, iBm in fam)
-            if hit and not rel(A, iA, UB, UiB):
-                flag(prefix + "3", t, a=(A, iA), union=(UB, UiB))
-        if _meets(same, iA, iB) and not rel(A, iA, B, iB):
-            flag(prefix + "4", t, a=(A, iA), b=(B, iB))
-        if same[x] & iA and not rel(1 << x, 1 << x, A, iA):
-            flag(prefix + "5", t, x=x, a=(A, iA))
-        if rel(1 << x, 1 << x, 1 << y, 1 << y) != bool(same[x] >> y & 1):
-            flag(prefix + "6", t, x=x, y=y)
+    # dP5 over all point pairs; the first hit in (x, y) order
+    hits = dn[np.ix_(singles, singles)] & (eng.match == 0)
+    if hits.any():
+        x, y = np.unravel_index(np.argmax(hits), hits.shape)
+        bad.append(dict(axiom="dP5", trial=None, phase="exhaustive", x=int(x), y=int(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -852,20 +898,22 @@ def sample_region_pairs(
 ) -> list[tuple]:
     """Seeded nonempty labeled region pairs from a space, for checks and demos.
 
-    Regions are drawn as in check_axioms: decoded in blocks from the PCG64
-    raw stream of np.random.default_rng(seed), identical to Generator.random,
-    so the pairs depend only on that stream. count must be a nonnegative
-    int (not a bool), like check_axioms' trials.
+    Regions are drawn as in check_axioms: decoded a window at a time from
+    the PCG64 raw stream of np.random.default_rng(seed), identical to
+    Generator.random, so the pairs depend only on that stream. count must be
+    a nonnegative int (not a bool), like check_axioms' trials.
     """
     count = _count(count, "count")
     draws = _Draws(seed)
     eng = _MaskEngine(space.universe)
-    out = []
+    out: list = []
     while len(out) < count:
-        A, iA = _sample_labeled(draws, eng.m)
-        B, iB = _sample_labeled(draws, eng.m)
-        if A and B:
-            out.append((eng.region(A, iA), eng.region(B, iB)))
+        for _ in range(min(WINDOW, count - len(out))):
+            draws.chain(2 * eng.m)
+        member, interior = (t.reshape(-1, 2, eng.m) for t in draws.decisions())
+        for (a, b), (ia, ib) in zip(member, interior):
+            if a.any() and b.any():
+                out.append((eng.region(a, ia), eng.region(b, ib)))
     return out
 
 

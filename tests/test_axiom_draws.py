@@ -1,4 +1,4 @@
-"""Axiom-harness draws: the block decoder against numpy's Generator, and bench-scale pins."""
+"""Axiom-harness draws: the window decoder against numpy's Generator, and bench-scale pins."""
 
 import hashlib
 import json
@@ -13,7 +13,6 @@ from proxitop.proximity import (
     BLOCK,
     DescriptiveSpace,
     _Draws,
-    _sample_labeled,
     feature_map_from_config,
     random_space,
     sample_region_pairs,
@@ -28,18 +27,27 @@ _RANGES = [
 
 
 def _per_point_sample(rng, m):
-    # one Generator.random() call per decision, in the order _sample_labeled keeps
-    mask = imask = 0
-    for i in range(m):
-        if rng.random() < 0.55:
-            mask |= 1 << i
-            if rng.random() < 0.6:
-                imask |= 1 << i
-    return mask, imask
+    # one Generator.random() call per decision, in the order the decoder reads
+    # them: the member row and the interior row of a labeled sample of m points
+    member, interior = [], []
+    for _ in range(m):
+        inside = rng.random() < 0.55
+        member.append(inside)
+        interior.append(inside and rng.random() < 0.6)
+    return member, interior
+
+
+def _assert_decoded(draws, samples):
+    # the flags of the decoder's window are the samples' rows, in order; a
+    # new window begins
+    member, interior = draws.decisions()
+    assert member.tolist() == [f for row, _ in samples for f in row]
+    assert interior.tolist() == [f for _, row in samples for f in row]
 
 
 # runs of one call kind, a labeled sample of m points or an integer range;
-# the longest sequences cross several BLOCK refills
+# a window opens before every other run, so windows hold samples and integer
+# draws interleaved, and the longest sequences cross several BLOCK reads
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -50,20 +58,30 @@ def _per_point_sample(rng, m):
 )
 def test_draws_match_the_numpy_generator(seed, runs):
     draws, rng = _Draws(seed), np.random.default_rng(seed)
-    for call, repeat in runs:
+    samples = []
+    for i, (call, repeat) in enumerate(runs):
+        if i % 2 == 0:
+            _assert_decoded(draws, samples)
+            samples = []
         for _ in range(repeat):
             if isinstance(call, int):
-                assert _sample_labeled(draws, call) == _per_point_sample(rng, call)
+                draws.chain(call)
+                samples.append(_per_point_sample(rng, call))
             else:
                 assert draws.integers(*call) == rng.integers(*call)
+    _assert_decoded(draws, samples)
 
 
 @pytest.mark.parametrize("m", [1, 30, BLOCK])
 def test_sample_labeled_takes_more_than_a_block_at_once(m):
+    # one window of six labeled samples, each followed by an integer draw
     draws, rng = _Draws(m), np.random.default_rng(m)
+    samples = []
     for _ in range(6):
-        assert _sample_labeled(draws, m) == _per_point_sample(rng, m)
+        draws.chain(m)
+        samples.append(_per_point_sample(rng, m))
         assert draws.integers(0, m) == rng.integers(m)
+    _assert_decoded(draws, samples)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 2), (0, 2**32 + 1)])

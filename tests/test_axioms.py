@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from proxitop import (
+    EXHAUSTIVE_LIMIT,
     FAMILIES,
     FAMILY_DESCRIPTIVE,
     FAMILY_DESCRIPTIVE_STRONG,
@@ -17,7 +18,16 @@ from proxitop import (
     sn,
     snd,
 )
-from proxitop.proximity import _MaskEngine, _exhaustive_descriptive, _relation_adapter, random_space
+from proxitop.geometry import Region
+from proxitop.proximity import (
+    AxiomReport,
+    DescriptiveSpace,
+    _exhaustive_descriptive,
+    _MaskEngine,
+    _relation_adapter,
+    feature_map_from_config,
+    random_space,
+)
 
 
 # injected Region-level relations; None stands for the empty set
@@ -119,8 +129,13 @@ def test_violation_witnesses_carry_masks_and_trial():
     assert report["violations"]
 
 
+def _row(mask, m):
+    # the bool row of an int subset mask: column i is bit i
+    return (mask >> np.arange(m)) & 1 == 1
+
+
 def test_mask_engine_matches_public_relations():
-    # the bitmask fast path and the public Region relations must agree
+    # the table engine on single rows and the public Region relations must agree
     rng = np.random.default_rng(77)
     for seed in range(6):
         sp = random_space(seed + 30)
@@ -136,6 +151,7 @@ def test_mask_engine_matches_public_relations():
             idx_b = [i for i in range(m) if B & (1 << i)]
             ra = sp.region(idx_a, [i for i in idx_a if iA & (1 << i)])
             rb = sp.region(idx_b, [i for i in idx_b if iB & (1 << i)])
+            A, iA, B, iB = (_row(k, m) for k in (A, iA, B, iB))
             assert eng.dnear(A, B) == dnear(ra, rb, sp.features)
             assert eng.sn(A, iA, B, iB) == sn(ra, rb, universe=universe)
             assert eng.snd(A, iA, B, iB) == snd(
@@ -151,10 +167,10 @@ def _close(a, b):
     return bool(np.min(np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=2)) <= 0.6)
 
 
-def _exhaustive_loops(eng, near):
-    # the exhaustive phase as plain loops over subsets: the first violation
+def _exhaustive_loops(m, near, match):
+    # the exhaustive phase as plain loops over int subsets: the first violation
     # of dP3 in (A, B, C) order, of dP4 in (C, B, A) order, then of dP5
-    m, S = eng.m, 1 << eng.m
+    S = 1 << m
     dn = [[near(A, B) for B in range(S)] for A in range(S)]
     for A in range(S):
         for B in range(S):
@@ -171,7 +187,7 @@ def _exhaustive_loops(eng, near):
                     return [dict(axiom="dP4", trial=None, phase="exhaustive", a=A, b=B, c=C)]
     for x in range(m):
         for y in range(m):
-            if dn[1 << x][1 << y] and not eng.match_rows[x] >> y & 1:
+            if dn[1 << x][1 << y] and not match[x][y]:
                 return [dict(axiom="dP5", trial=None, phase="exhaustive", x=x, y=y)]
     return []
 
@@ -185,9 +201,187 @@ def test_exhaustive_phase_finds_the_first_violation_the_loops_find():
             near = eng.dnear if relation is None else _relation_adapter(eng, relation, FAMILY_DESCRIPTIVE)
             got = []
             _exhaustive_descriptive(eng, near, got)
-            assert got == _exhaustive_loops(eng, near), (seed, size, relation)
+            loops = _exhaustive_loops(size, _int_relation(sp, FAMILY_DESCRIPTIVE, relation), sp.match_matrix)
+            assert got == loops, (seed, size, relation)
             seen |= {v["axiom"] for v in got}
     assert seen == {"dP3", "dP4", "dP5"}
+
+
+# -- the per-trial loop as the oracle ------------------------------------------
+#
+# check_axioms as one Python loop per trial over int bit masks, drawing every
+# decision with its own Generator.random() call and every point with
+# Generator.integers; built-in relations are read from the space's tables,
+# and an injected relation is called on Regions built from the masks.
+
+
+def _oracle_sample(rng, m):
+    # a labeled subset of m points: each is in with chance 0.55, then interior with chance 0.6
+    mask = imask = 0
+    for bit in range(m):
+        if rng.random() < 0.55:
+            mask |= 1 << bit
+            if rng.random() < 0.6:
+                imask |= 1 << bit
+    return mask, imask
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _meets(rows, A, B):
+    # some x in A has a row that meets B (rows are reflexive)
+    return bool(A & B) or any(rows[x] & B for x in _members(A))
+
+
+def _match_rows(sp):
+    return [sum(1 << int(j) for j in np.flatnonzero(r)) for r in sp.match_matrix]
+
+
+def _int_relation(sp, family, relation):
+    # an int-mask relation: dnear from the match table when relation is None,
+    # else the injected relation on Regions built from the masks (None for
+    # the empty set), one Region per labeled mask
+    if relation is None:
+        match = _match_rows(sp)
+        return lambda A, B: _meets(match, A, B)
+    regions = {}
+
+    def region(A, iA):
+        if (A, iA) not in regions:
+            idx = _members(A)
+            regions[A, iA] = Region(sp.universe[idx], [bool(iA >> i & 1) for i in idx]) if A else None
+        return regions[A, iA]
+
+    if family == FAMILY_DESCRIPTIVE:
+        return lambda A, B: bool(relation(region(A, A), region(B, B)))
+    return lambda A, iA, B, iB: bool(relation(region(A, iA), region(B, iB)))
+
+
+def _oracle_report(sp, family, trials, seed, relation=None):
+    m = sp.size
+    full = (1 << m) - 1
+    match = _match_rows(sp)
+    same = [1 << i for i in range(m)]  # universe points are distinct
+    rng = np.random.default_rng(seed)
+    bad = []
+
+    def flag(axiom, t, **masks):
+        w = {k: {"points": _members(v[0]), "interior": _members(v[1])} if isinstance(v, tuple) else v for k, v in masks.items()}
+        w.update(axiom=axiom, trial=t)
+        bad.append(w)
+
+    def strong(rows, A, iA, B, iB):
+        if A == 0 or B == 0:
+            return False
+        if A == full or B == full:
+            return True
+        if A & (A - 1) == 0:
+            return bool(rows[A.bit_length() - 1] & (B if B & (B - 1) == 0 else iB))
+        if B & (B - 1) == 0:
+            return bool(rows[B.bit_length() - 1] & iA)
+        return _meets(rows, iA, iB)
+
+    if family == FAMILY_DESCRIPTIVE:
+        near = _int_relation(sp, family, relation)
+        for t in range(trials):
+            A, _ = _oracle_sample(rng, m)
+            B, _ = _oracle_sample(rng, m)
+            C, _ = _oracle_sample(rng, m)
+            x, y = int(rng.integers(0, m)), int(rng.integers(0, m))
+            if near(0, A) or near(A, 0):
+                flag("dP0", t, a=(A, 0))
+            if near(A, B) != near(B, A):
+                flag("dP1", t, a=(A, A), b=(B, B))
+            if _meets(match, A, B) and not near(A, B):
+                flag("dP2", t, a=(A, A), b=(B, B))
+            if near(A, B | C) != (near(A, B) or near(A, C)):
+                flag("dP3", t, a=(A, A), b=(B, B), c=(C, C))
+            if near(A, B) and B and all(near(1 << b, C) for b in _members(B)) and not near(A, C):
+                flag("dP4", t, a=(A, A), b=(B, B), c=(C, C))
+            if near(1 << x, 1 << y) and not match[x] >> y & 1:
+                flag("dP5", t, x=x, y=y)
+        if m <= EXHAUSTIVE_LIMIT and trials > 0:
+            bad += _exhaustive_loops(m, near, sp.match_matrix)
+        return AxiomReport(family, trials, tuple(bad))
+    union = family == FAMILY_STRONG
+    rows, prefix = (same, "snN") if union else (match, "dsnP")
+    rel = lambda A, iA, B, iB: strong(rows, A, iA, B, iB)  # noqa: E731
+    if relation is not None:
+        rel = _int_relation(sp, family, relation)
+    for t in range(trials):
+        A, iA = _oracle_sample(rng, m)
+        B, iB = _oracle_sample(rng, m)
+        x, y = int(rng.integers(0, m)), int(rng.integers(0, m))
+        if rel(0, 0, A, iA) or rel(A, iA, 0, 0):
+            flag(prefix + "0", t, a=(A, iA))
+        if A and not rel(full, full, A, iA):
+            flag(prefix + "0", t, a=(A, iA))
+        if rel(A, iA, B, iB) != rel(B, iB, A, iA):
+            flag(prefix + "1", t, a=(A, iA), b=(B, iB))
+        if rel(A, iA, B, iB) and not _meets(rows, A, B):
+            flag(prefix + "2", t, a=(A, iA), b=(B, iB))
+        if union:
+            fam = [_oracle_sample(rng, m) for _ in range(int(rng.integers(2, 4)))]
+            UB = UiB = 0
+            for Bm, iBm in fam:
+                UB, UiB = UB | Bm, UiB | iBm
+            if any(iBm and rel(A, iA, Bm, iBm) for Bm, iBm in fam) and not rel(A, iA, UB, UiB):
+                flag(prefix + "3", t, a=(A, iA), union=(UB, UiB))
+        if _meets(rows, iA, iB) and not rel(A, iA, B, iB):
+            flag(prefix + "4", t, a=(A, iA), b=(B, iB))
+        if rows[x] & iA and not rel(1 << x, 1 << x, A, iA):
+            flag(prefix + "5", t, x=x, a=(A, iA))
+        if rel(1 << x, 1 << x, 1 << y, 1 << y) != bool(rows[x] >> y & 1):
+            flag(prefix + "6", t, x=x, y=y)
+    return AxiomReport(family, trials, tuple(bad))
+
+
+def _grid_space(m, features):
+    # m distinct points of a centred half-unit grid, drawn like the bench's axiom spaces
+    rng = np.random.default_rng(m)
+    side = max(6, int(np.ceil(np.sqrt(2 * m))))
+    cells = rng.choice(side * side, size=m, replace=False)
+    pts = (np.stack([cells // side, cells % side], axis=1) - side // 2).astype(float) * 0.5
+    return DescriptiveSpace(pts, feature_map_from_config(dict(features, dim=2)))
+
+
+_EVEN = {"name": "even-coords"}
+# norms within 0.3 match along chains of grid points: a non-transitive
+# matching, whose exhaustive phase finds a dP4 violation at m = 6
+_NORMS = {"name": "norm", "tolerance": 0.3}
+
+# (m, features, trials, seed, relation): the bench spaces at two seeds;
+# m = 1 makes no integer draws; trials = 0; m = 70 is wider than a machine
+# word; every run of 200 or more trials crosses windows; injected relations
+# fail on most trials, so every draw shows in the witnesses
+_ORACLE_CASES = (
+    [(m, _EVEN, 1000, seed, None) for m in (6, 12, 30) for seed in (1, 2)]
+    + [(1, _EVEN, 200, 3, None), (12, _EVEN, 0, 4, None), (70, _EVEN, 200, 5, None), (6, _NORMS, 50, 6, None)]
+    + [(12, _EVEN, 300, 7, _lopsided), (70, _EVEN, 100, 8, _lopsided), (5, _NORMS, 200, 9, _second_small)]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_case(m, features, trials, seed, relation, family):
+    sp = _grid_space(m, dict(features))
+    got = check_axioms(sp, family, trials=trials, seed=seed, relation=relation)
+    return got, _oracle_report(sp, family, trials, seed, relation)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("case", _ORACLE_CASES, ids=lambda c: f"m{c[0]}-{c[1]['name']}-t{c[2]}-s{c[3]}-{getattr(c[4], '__name__', 'built-in')}")
+def test_check_axioms_equals_the_per_trial_oracle(case, family):
+    m, features, trials, seed, relation = case
+    got, want = _oracle_case(m, tuple(features.items()), trials, seed, relation, family)
+    assert got == want
+
+
+def test_oracle_cases_show_violations():
+    # the table is not all clean reports: built-in and injected relations fail
+    seen = {v["axiom"] for c in _ORACLE_CASES for f in FAMILIES for v in _oracle_case(c[0], tuple(c[1].items()), *c[2:], f)[0].violations}
+    assert {"dP1", "dP4", "snN0", "snN3", "dsnP1"} <= seen, sorted(seen)
 
 
 # -- pinned reports under injected relations ----------------------------------

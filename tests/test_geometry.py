@@ -147,6 +147,21 @@ def test_petty_huge_coordinates_decide_without_overflow(pts):
     assert petty_antipodal_set(pts)
 
 
+@pytest.mark.parametrize(
+    "pts, antipodal",
+    [
+        ([[-1e308, 0.0], [1e308, 0.0]], True),
+        ([[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]], True),
+        ([[-1e308, 0.0], [0.0, 0.0], [1e308, 0.0]], False),
+        ([[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 1e308, -1e308]], True),
+    ],
+    ids=["pair-2d", "pair-3d", "collinear-2d", "triangle-3d"],
+)
+def test_petty_differences_that_overflow_decide_without_warnings(pts, antipodal):
+    # differences and slab widths near 2e308 overflow; warnings are errors here
+    assert petty_antipodal_set(pts) is antipodal
+
+
 def test_petty_agrees_with_lp_oracle():
     rng = np.random.default_rng(42)
     cells = [(i, j) for i in range(5) for j in range(5)]

@@ -24,7 +24,7 @@ from proxitop import (
     snd,
     spc_check,
 )
-from proxitop.proximity import _bits, _row_bits, random_space
+from proxitop.proximity import random_space
 
 
 def grid_space(width, height, tol=0.0):
@@ -400,15 +400,6 @@ def test_sample_region_pairs_takes_zero_and_numpy_counts():
     sp = random_space(3, size=4)
     assert sample_region_pairs(sp, 0) == []
     assert len(sample_region_pairs(sp, np.int64(3))) == 3
-
-
-@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 130])
-def test_row_bits_equal_one_bits_call_per_row(width):
-    table = np.random.default_rng(width).random((5, width)) < 0.5
-    table[0] = False
-    table[1] = True
-    assert _row_bits(table) == [_bits(r) for r in table]
-    assert _row_bits(table[:0]) == []
 
 
 # ---------------------------------------------------------------------------
